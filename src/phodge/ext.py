@@ -379,7 +379,7 @@ def cup_product(
     v: Sequence,
     alpha,
 ) -> Tuple:
-    """The интерполated product of a degree-a and a degree-b element, landing
+    """The interpolated product of a degree-a and a degree-b element, landing
     in the cone for the componentwise tensor target.
 
     With theta = (1-alpha) f + alpha g acting on the left and the mirrored

@@ -16,6 +16,20 @@ from typing import Optional, Sequence, Union
 from .errors import ValidationError
 
 
+def parse_rational(data, where: str) -> Fraction:
+    """An exact rational from JSON: an integer or a string such as "-3/4".
+
+    Floats and booleans are rejected, so no inexact or accidental value ever
+    becomes a scalar.
+    """
+    if isinstance(data, bool) or not isinstance(data, (int, str)):
+        raise ValidationError(f"{where}: {type(data).__name__} scalar {data!r} rejected; write exact scalars as strings like \"3/4\"")
+    try:
+        return Fraction(data)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{where}: unreadable scalar {data!r}") from None
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -275,11 +289,11 @@ class CoefficientFrame:
 
     def parse_scalar(self, data) -> object:
         if isinstance(data, str):
-            return self.scalar(Fraction(data))
+            return self.scalar(parse_rational(data, "scalar"))
         if isinstance(data, list):
             if self.extension is None:
                 raise ValidationError("coefficient-array scalar in a rational frame")
-            return self.extension.element([Fraction(c) for c in data])
+            return self.extension.element([parse_rational(c, f"scalar coefficient {i}") for i, c in enumerate(data)])
         raise ValidationError(f"unreadable scalar {data!r}")
 
     def format_scalar(self, value) -> object:

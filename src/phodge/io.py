@@ -10,7 +10,6 @@ violated invariant.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -19,7 +18,7 @@ from .absolute import DatumFlags, GeometricDatum, PairingData, ProperMapDatum, T
 from .complexes import ChainMap, Complex
 from .errors import ValidationError
 from .filtered import FilteredComplex, Filtration
-from .frames import CoefficientFrame, NumberField
+from .frames import CoefficientFrame, NumberField, parse_rational
 from .frobenius import FrobeniusComplex
 from .linalg import Matrix, Subspace
 from .godement import FiniteSite, Sheaf, constant_sheaf, indicator_sheaf
@@ -27,13 +26,13 @@ from .phc import PHodgeComplex, PHodgeMap, Zigzag
 from .spectral import DoubleComplex
 
 
-def parse_matrix(frame: Optional[CoefficientFrame], data, rows: int, cols: int) -> Matrix:
+def parse_matrix(frame: Optional[CoefficientFrame], data, rows: int, cols: int, where: str = "matrix") -> Matrix:
     if data is None:
         return Matrix.zeros(rows, cols)
     if len(data) != rows or any(len(r) != cols for r in data):
         raise ValidationError(f"matrix data has shape {len(data)}x?, expected {rows}x{cols}")
     if frame is None:
-        return Matrix(rows, cols, [[Fraction(x) for x in r] for r in data])
+        return Matrix(rows, cols, [[parse_rational(x, f"{where}[{i}][{j}]") for j, x in enumerate(r)] for i, r in enumerate(data)])
     return Matrix(rows, cols, [[frame.parse_scalar(x) for x in r] for r in data])
 
 
@@ -44,15 +43,18 @@ def format_matrix(frame: Optional[CoefficientFrame], m: Matrix):
 
 
 def parse_frame(data) -> CoefficientFrame:
+    p = parse_rational(data["p"], "frame p")
+    if p.denominator != 1:
+        raise ValidationError(f"frame p: {p} is not an integer")
     ext = data.get("extension")
     if ext is None:
-        return CoefficientFrame(p=int(data["p"]))
-    nf = NumberField([Fraction(c) for c in ext["modulus"]])
+        return CoefficientFrame(p=int(p))
+    nf = NumberField([parse_rational(c, f"extension modulus[{i}]") for i, c in enumerate(ext["modulus"])])
     sigma = ext.get("sigma")
     return CoefficientFrame(
-        p=int(data["p"]),
+        p=int(p),
         extension=nf,
-        sigma_generator_image=tuple(Fraction(c) for c in sigma) if sigma else None,
+        sigma_generator_image=tuple(parse_rational(c, f"extension sigma[{i}]") for i, c in enumerate(sigma)) if sigma else None,
     )
 
 
@@ -70,7 +72,7 @@ def parse_complex(frame, data) -> Complex:
     d = {}
     for k, mat in data.get("d", {}).items():
         n = int(k)
-        d[n] = parse_matrix(frame, mat, dims.get(n + 1, 0), dims.get(n, 0))
+        d[n] = parse_matrix(frame, mat, dims.get(n + 1, 0), dims.get(n, 0), f"d[{k}]")
     return Complex(dims, d)
 
 
@@ -87,7 +89,7 @@ def parse_chain_map(frame, data, source: Complex, target: Complex) -> ChainMap:
     comps = {}
     for k, mat in data.get("components", {}).items():
         n = int(k)
-        comps[n] = parse_matrix(frame, mat, target.dim(n), source.dim(n))
+        comps[n] = parse_matrix(frame, mat, target.dim(n), source.dim(n), f"components[{k}]")
     return ChainMap(source, target, comps)
 
 
@@ -103,7 +105,7 @@ def parse_filtered(frame, data) -> FilteredComplex:
         entry = []
         for level, basis in levels.items():
             cols = len(basis[0]) if basis else 0
-            m = parse_matrix(frame, basis, carrier.dim(n), cols)
+            m = parse_matrix(frame, basis, carrier.dim(n), cols, f"filtration[{deg}][{level}]")
             entry.append((int(level), Subspace(carrier.dim(n), m)))
         records[n] = entry
     return FilteredComplex(carrier, Filtration(dict(carrier.dims), records))
@@ -259,7 +261,7 @@ def parse_sheaf(data, site: FiniteSite) -> Sheaf:
     maps = {}
     for entry in data.get("maps", []):
         a, b = entry["from"], entry["to"]
-        maps[(a, b)] = parse_matrix(None, entry["matrix"], values.get(b, 0), values.get(a, 0))
+        maps[(a, b)] = parse_matrix(None, entry["matrix"], values.get(b, 0), values.get(a, 0), f"map {a}->{b}")
     return Sheaf(site, values, maps)
 
 
@@ -284,10 +286,10 @@ def parse_double_complex(data) -> DoubleComplex:
     dv = {}
     for key, mat in data.get("d_h", {}).items():
         p, q = (int(t) for t in key.split(","))
-        dh[(p, q)] = parse_matrix(None, mat, spaces.get((p + 1, q), 0), spaces.get((p, q), 0))
+        dh[(p, q)] = parse_matrix(None, mat, spaces.get((p + 1, q), 0), spaces.get((p, q), 0), f"d_h[{key}]")
     for key, mat in data.get("d_v", {}).items():
         p, q = (int(t) for t in key.split(","))
-        dv[(p, q)] = parse_matrix(None, mat, spaces.get((p, q + 1), 0), spaces.get((p, q), 0))
+        dv[(p, q)] = parse_matrix(None, mat, spaces.get((p, q + 1), 0), spaces.get((p, q), 0), f"d_v[{key}]")
     return DoubleComplex(spaces, dh, dv)
 
 

@@ -1,46 +1,115 @@
 """Exact linear algebra: matrices, subspaces, kernels, images, quotients.
 
 Every entry is a Fraction (or an extension scalar with the same operator
-surface); there is no floating point anywhere.  Row reduction keeps rows in
-content-reduced integer form between elimination steps to control coefficient
-growth, and pivoting is deterministic (first nonzero), so all derived bases
-are reproducible byte for byte.
+surface); there is no floating point anywhere.  Pivoting is deterministic
+(first nonzero), and reduced row echelon form over a field is unique, so all
+derived bases are reproducible byte for byte.
+
+Two kernels produce the same RREF:
+
+- When every entry is a Fraction, ``Matrix.rref`` clears each row's
+  denominators and runs Gauss-Jordan on rows of Python ints, in the
+  fraction-free spirit of Bareiss (1968).  Each updated row is divided by its
+  gcd content to keep coefficients small, and the pivots are divided out only
+  once, at the end.
+- Any other entries (extension scalars) go through a generic loop on the
+  entries' own field arithmetic.
+
+A ``Subspace`` basis is the transpose of an RREF with unit pivots, and the
+subspace keeps the pivot row of each basis column.  The coordinates of a
+vector are therefore its entries at those rows; one product with the basis
+checks membership.  No elimination is needed per vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_FRACTION_ONLY = {Fraction}
 
 
-def _normalize_row(row):
-    """Scale a rational row to primitive integer form with positive lead."""
-    if not row:
-        return row
-    if not all(isinstance(x, Fraction) for x in row):
-        return row
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    num = 0
-    for x in row:
-        num = gcd(num, x.numerator * (den // x.denominator))
-    if num == 0:
-        return [ZERO] * len(row)
-    scale = Fraction(den, num)
-    out = [x * scale for x in row]
-    for x in out:
-        if x != 0:
-            if x < 0:
-                out = [-y for y in out]
+def _rref_integer(entries, cols: int):
+    """RREF of Fraction rows by elimination on integer rows.
+
+    Each row is scaled to a primitive integer row; Gauss-Jordan then keeps
+    every row integral and primitive, and the pivots are divided out at the
+    end.  Returns (rows, pivots) with Fraction entries.
+    """
+    work = []
+    for r in entries:
+        den = lcm(*[x.denominator for x in r])
+        row = [x.numerator * (den // x.denominator) for x in r]
+        g = gcd(*row)
+        work.append([x // g for x in row] if g > 1 else row)
+    m = len(work)
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        if r == m:
             break
-    return out
+        pr = next((i for i in range(r, m) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        prow = work[r]
+        pv = prow[c]
+        for i in range(m):
+            row = work[i]
+            a = row[c]
+            if a and i != r:
+                g = gcd(pv, a)
+                s, t = pv // g, a // g
+                row = [s * x - t * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    out = []
+    for row, c in zip(work, pivots):
+        pv = row[c]
+        out.append([Fraction(x, pv) if x else ZERO for x in row])
+    out.extend([ZERO] * cols for _ in range(m - len(pivots)))
+    return out, tuple(pivots)
+
+
+def _rref_generic(entries, cols: int):
+    """RREF by Gauss-Jordan in the entries' own arithmetic; any field scalars."""
+    work = [list(r) for r in entries]
+    m = len(work)
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        pv = work[r][c]
+        prow = work[r] = [x / pv for x in work[r]]
+        for i in range(m):
+            f = work[i][c]
+            if i != r and f != 0:
+                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+        pivots.append(c)
+        r += 1
+    return work, tuple(pivots)
+
+
+def _exact_row(row) -> Tuple:
+    """One matrix row as a tuple: ints become Fractions, floats are rejected."""
+    row = tuple(row)
+    if set(map(type, row)) <= _FRACTION_ONLY:
+        return row
+    if any(isinstance(x, float) for x in row):
+        raise ValidationError("floating point entry rejected; arithmetic is exact")
+    return tuple(Fraction(x) if isinstance(x, int) else x for x in row)
 
 
 class Matrix:
@@ -49,15 +118,9 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries", "_rref")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(
-            tuple(Fraction(x) if isinstance(x, int) else x for x in r) for r in entries
-        )
+        entries = tuple(map(_exact_row, entries))
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValidationError(f"matrix shape mismatch: {rows}x{cols}")
-        for r in entries:
-            for x in r:
-                if isinstance(x, float):
-                    raise ValidationError("floating point entry rejected; arithmetic is exact")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
@@ -93,9 +156,6 @@ class Matrix:
     def column(vec) -> "Matrix":
         vec = list(vec)
         return Matrix(len(vec), 1, [[v] for v in vec])
-
-    def row_tuple(self, i: int):
-        return self.entries[i]
 
     def col_tuple(self, j: int):
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -167,36 +227,11 @@ class Matrix:
         """Reduced row echelon form with the pivot column list."""
         if self._rref is not None:
             return self._rref
-        work = [list(r) for r in self.entries]
-        m, n = self.rows, self.cols
-        pivots: List[int] = []
-        r = 0
-        for c in range(n):
-            pr = None
-            for i in range(r, m):
-                if work[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            work[r], work[pr] = work[pr], work[r]
-            pv = work[r][c]
-            work[r] = _normalize_row([x / pv for x in work[r]])
-            pv = work[r][c]
-            for i in range(m):
-                if i != r and work[i][c] != 0:
-                    f = work[i][c] / pv
-                    work[i] = _normalize_row([a - f * b for a, b in zip(work[i], work[r])])
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        # canonical form: unit pivots
-        for k, c in enumerate(pivots):
-            pv = work[k][c]
-            if pv != 1:
-                work[k] = [x / pv for x in work[k]]
-        result = (Matrix(m, n, work), tuple(pivots))
+        if all(set(map(type, r)) <= _FRACTION_ONLY for r in self.entries):
+            work, pivots = _rref_integer(self.entries, self.cols)
+        else:
+            work, pivots = _rref_generic(self.entries, self.cols)
+        result = (Matrix(self.rows, self.cols, work), pivots)
         object.__setattr__(self, "_rref", result)
         return result
 
@@ -216,10 +251,6 @@ class Matrix:
                 v[c] = -red.entries[k][f]
             cols.append(v)
         return Matrix(self.cols, len(cols), list(map(list, zip(*cols))) if cols else [[] for _ in range(self.cols)])
-
-    def image_basis(self) -> "Matrix":
-        """Columns form a canonical basis of the column space."""
-        return Subspace.from_matrix(self).basis
 
     def solve(self, vec: Sequence) -> Optional[Tuple]:
         """One exact solution of self * x = vec, or None if vec is not in the image."""
@@ -381,25 +412,30 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(rows, cols, out)
 
 
-def kron_vec(u: Sequence, v: Sequence) -> Tuple:
-    u, v = list(u), list(v)
-    return tuple(x * y for x in u for y in v)
-
-
 class Subspace:
-    """A subspace of K^n given by a canonical (column-reduced) basis matrix."""
+    """A subspace of K^n given by a canonical (column-reduced) basis matrix.
 
-    __slots__ = ("ambient_dim", "basis")
+    The basis is the transpose of an RREF with unit pivots; ``_pivot_rows``
+    holds the pivot row of each basis column.
+    """
+
+    __slots__ = ("ambient_dim", "basis", "_pivot_rows")
 
     def __init__(self, ambient_dim: int, basis: Matrix, *, canonical: bool = False):
         if basis.rows != ambient_dim:
             raise ValidationError("subspace basis has wrong ambient dimension")
-        if not canonical:
+        if canonical:
+            ents = basis.entries
+            pivots = tuple(next((i for i in range(ambient_dim) if ents[i][k] != 0), None) for k in range(basis.cols))
+            if None in pivots:
+                raise ValidationError("canonical subspace basis has a zero column")
+        else:
             red, pivots = basis.transpose().rref()
             rows = [red.entries[k] for k in range(len(pivots))]
             basis = Matrix(len(pivots), ambient_dim, rows).transpose()
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_pivot_rows", pivots)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -438,10 +474,28 @@ class Subspace:
         return hash((self.ambient_dim, self.dim))
 
     def coords_of(self, vec: Sequence) -> Optional[Tuple]:
-        return self.basis.solve(vec)
+        """Coordinates of vec in the basis, or None if vec is not in the subspace.
+
+        The basis has unit pivots, so the coordinates are vec's entries at the
+        pivot rows; basis * x == vec checks membership.
+        """
+        vec = [Fraction(v) if isinstance(v, int) else v for v in vec]
+        if len(vec) != self.ambient_dim:
+            raise ValidationError("coords_of: vector length mismatch")
+        x = tuple(vec[i] for i in self._pivot_rows)
+        support = [(k, y) for k, y in enumerate(x) if y != 0]
+        for row, v in zip(self.basis.entries, vec):
+            acc = ZERO
+            for k, y in support:
+                b = row[k]
+                if b != 0:
+                    acc = acc + b * y
+            if acc != v:
+                return None
+        return x
 
     def contains(self, vec: Sequence) -> bool:
-        return self.basis.solve(vec) is not None
+        return self.coords_of(vec) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(other.basis.col_tuple(j)) for j in range(other.dim))
@@ -468,22 +522,25 @@ class Subspace:
         """(projection, section) for K^n -> K^n / self.
 
         projection is (n-k) x n with kernel exactly self; section is a right
-        inverse picking complementary standard basis vectors.
+        inverse picking the complementary standard basis vectors.  With unit
+        pivots, v = basis * v[pivots] + (the rest at the other rows), so the
+        projection row of a complementary row c is e_c - basis[c] read at the
+        pivot rows.
         """
-        red, pivots = self.basis.transpose().rref()
-        pivot_rows = set(pivots)
-        complement = [i for i in range(self.ambient_dim) if i not in pivot_rows]
-        ext = hstack([self.basis] + [Matrix.column([ONE if i == e else ZERO for i in range(self.ambient_dim)]) for e in complement]) if complement else self.basis
-        if ext.cols != self.ambient_dim:
-            raise ValidationError("quotient: basis does not extend to the ambient space")
-        inv = ext.inverse()
-        proj = Matrix(len(complement), self.ambient_dim, [inv.entries[self.dim + t] for t in range(len(complement))])
-        sect = Matrix(
-            self.ambient_dim,
-            len(complement),
-            [[ONE if i == complement[t] else ZERO for t in range(len(complement))] for i in range(self.ambient_dim)],
-        )
-        return proj, sect
+        n = self.ambient_dim
+        pivots = self._pivot_rows
+        pivot_set = set(pivots)
+        complement = [i for i in range(n) if i not in pivot_set]
+        proj = []
+        for c in complement:
+            row = [ZERO] * n
+            row[c] = ONE
+            for p, b in zip(pivots, self.basis.entries[c]):
+                if b != 0:
+                    row[p] = -b
+            proj.append(row)
+        sect = [[ONE if i == c else ZERO for c in complement] for i in range(n)]
+        return Matrix(len(complement), n, proj), Matrix(n, len(complement), sect)
 
     def quotient_by(self, sub: "Subspace") -> Tuple[Matrix, Matrix, Matrix]:
         """Quotient self / sub for sub <= self.
@@ -512,10 +569,6 @@ def rank_decomposition(m: Matrix) -> Tuple[Subspace, Subspace, Tuple[int, ...]]:
     kernel = Subspace(m.cols, m.kernel_basis())
     image = Subspace.from_vectors([m.col_tuple(c) for c in pivots], m.rows)
     return kernel, image, pivots
-
-
-def solve(m: Matrix, vec: Sequence) -> Optional[Tuple]:
-    return m.solve(vec)
 
 
 def restrict_map(f: Matrix, source_basis: Matrix, target_basis: Matrix) -> Matrix:

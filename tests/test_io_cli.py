@@ -87,6 +87,55 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+def _edited_corpus_file(tmp_path, name, edit):
+    data = json.loads(Path(pio.corpus_path(name)).read_text())
+    edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _set_dh(value):
+    def edit(data):
+        data["d_h"]["0,1"] = [[value]]
+
+    return edit
+
+
+def _set_extension(modulus, sigma=None):
+    def edit(data):
+        extension = {"modulus": modulus}
+        if sigma:
+            extension["sigma"] = sigma
+        data["frame"] = {"p": 5, "extension": extension}
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, command, edit, entry",
+    [
+        ("d2page.dcomplex", "ss", _set_dh(0.1), "d_h[0,1][0][0]"),
+        ("d2page.dcomplex", "ss", _set_dh(True), "d_h[0,1][0][0]"),
+        ("tate0.phc", "validate", _set_extension(["-2", 0.5, "1"]), "modulus[1]"),
+        ("tate0.phc", "validate", _set_extension([-2, 0, 1], [0, False]), "sigma[1]"),
+    ],
+)
+def test_cli_rejects_float_and_bool_scalars(tmp_path, capsys, name, command, edit, entry):
+    path = _edited_corpus_file(tmp_path, name, edit)
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert entry in captured.err and "rejected" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_accepts_integer_and_string_scalars(tmp_path, capsys):
+    assert main(["ss", _edited_corpus_file(tmp_path, "d2page.dcomplex", _set_dh(1))]) == 0
+    assert main(["validate", _edited_corpus_file(tmp_path, "tate0.phc", _set_extension([-2, "0", 1], [0, "-1"]))]) == 0
+    capsys.readouterr()
+
+
 def test_cli_ext_table(capsys):
     assert main(["ext", "tate0.phc", "tate1.phc"]) == 0
     out = capsys.readouterr().out

@@ -5,7 +5,7 @@ import pytest
 
 from phodge.errors import ValidationError
 from phodge.frames import CoefficientFrame, NumberField
-from phodge.linalg import Matrix, Subspace, kron, rank_decomposition
+from phodge.linalg import Matrix, Subspace, _rref_generic, _rref_integer, kron, rank_decomposition
 
 from helpers import rand_matrix, rand_scalar
 
@@ -104,6 +104,86 @@ def test_quotient_with_section_random():
         assert proj * sect == Matrix.identity(proj.rows)
         if w.dim:
             assert (proj * w.basis).is_zero()
+
+
+def _kernel_case(rng, rows, cols, seen):
+    """A random Fraction matrix with the features the two RREF kernels must agree on."""
+    big = 10 ** 60
+
+    def scalar():
+        roll = rng.random()
+        if roll < 0.35:
+            return F(0)
+        if roll < 0.85:
+            return F(rng.randint(-5, 5), rng.randint(1, 4))
+        return F(rng.choice([-1, 1]) * rng.randint(big, 10 * big), rng.randint(big, 10 * big))
+
+    m = [[scalar() for _ in range(cols)] for _ in range(rows)]
+    if rows and rng.random() < 0.3:
+        m[rng.randrange(rows)] = [F(0)] * cols
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for r in m:
+            r[j] = F(0)
+    if rows > 1 and rng.random() < 0.3:
+        m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+    if rows and cols and rng.random() < 0.5:
+        m[0][0] = -abs(m[0][0]) or F(-1)
+    seen["zero_row"] |= any(all(x == 0 for x in r) for r in m) and cols > 0
+    seen["zero_col"] |= rows > 0 and any(all(r[j] == 0 for r in m) for j in range(cols))
+    seen["repeated_row"] |= any(x != 0 for r in m for x in r) and len({tuple(r) for r in m}) < rows
+    seen["negative_pivot"] |= bool(rows and cols and m[0][0] < 0)
+    seen["big"] |= any(len(str(abs(x.numerator))) >= 60 and len(str(x.denominator)) >= 60 for r in m for x in r)
+    return m
+
+
+def test_integer_rref_matches_generic_kernel():
+    rng = random.Random(108)
+    seen = dict.fromkeys(["zero_row", "zero_col", "repeated_row", "negative_pivot", "big"], False)
+    shapes = [(0, n) for n in range(4)] + [(n, 0) for n in range(1, 4)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(300)]
+    for rows, cols in shapes:
+        m = _kernel_case(rng, rows, cols, seen)
+        fast, fast_pivots = _rref_integer(m, cols)
+        slow, slow_pivots = _rref_generic(m, cols)
+        assert (Matrix(rows, cols, fast), fast_pivots) == (Matrix(rows, cols, slow), slow_pivots)
+        assert Matrix(rows, cols, m).rref() == (Matrix(rows, cols, slow), slow_pivots)
+    assert all(seen.values()), seen
+
+
+def _random_vector(rng, n):
+    return tuple(rand_scalar(rng) for _ in range(n))
+
+
+def test_coords_of_matches_solve():
+    rng = random.Random(109)
+    spaces = [Subspace.zero(n) for n in range(4)] + [Subspace.full(n) for n in range(4)]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        spaces.append(Subspace.from_vectors([_random_vector(rng, n) for _ in range(rng.randint(0, n))], n))
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        red, pivots = rand_matrix(rng, rng.randint(1, n), n).rref()
+        basis = Matrix(len(pivots), n, red.entries[: len(pivots)]).transpose()
+        space = Subspace(n, basis, canonical=True)
+        assert space == Subspace.from_matrix(basis) and space.basis == Subspace.from_matrix(basis).basis
+        spaces.append(space)
+    non_members = 0
+    for space in spaces:
+        n, basis = space.ambient_dim, space.basis
+        for _ in range(5):
+            x = _random_vector(rng, space.dim)
+            v = basis.apply(x)
+            assert space.coords_of(v) == basis.solve(v) == x
+            assert space.contains(v)
+            w = _random_vector(rng, n)
+            if basis.solve(w) is None:
+                non_members += 1
+                assert space.coords_of(w) is None and not space.contains(w)
+            else:
+                assert space.coords_of(w) == basis.solve(w)
+    assert non_members > 50
+    assert Subspace.full(2).coords_of([1, -2]) == (F(1), F(-2))
 
 
 def test_char_poly_and_eigenvalues():

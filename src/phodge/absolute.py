@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import ChainMap, Complex, cone, direct_sum, shift, tensor
+from .complexes import ChainMap, Complex, cone, direct_sum, shift, shifted_cone_map, tensor
 from .errors import PreconditionError, ValidationError
 from .ext import ExtComplex, cup_product, induced_map
 from .filtered import FilteredComplex, Filtration, level_subcomplex
 from .frames import CoefficientFrame
 from .frobenius import FrobeniusComplex
-from .linalg import Matrix, Subspace, kron
+from .linalg import Matrix, Subspace, assemble, kron
 from .phc import (
     PHodgeComplex,
     PHodgeMap,
@@ -51,30 +51,11 @@ class SyntomicCone:
         p_pow = Fraction(m.frame.p) ** (-n)
         comps = {}
         for q in a_complex.dims:
-            rows = b_complex.dim(q)
-            cols = a_complex.dim(q)
-            out = [[ZERO] * cols for _ in range(rows)]
             d0 = m.rig.complex.dim(q)
-            dk = m.k.dim(q)
-            df = fsub.dim(q)
-            phi = m.rig.phi_at(q)
-            for i in range(d0):
-                for j in range(d0):
-                    val = phi.entries[i][j] * p_pow - (ONE if i == j else ZERO)
-                    if val != 0:
-                        out[i][j] = val
-            cq = m.c.component(q)
-            for i in range(dk):
-                for j in range(d0):
-                    if cq.entries[i][j] != 0:
-                        out[d0 + i][j] = cq.entries[i][j]
-            if df:
-                sq = m.s.component(q) * fsub_incl.component(q)
-                for i in range(dk):
-                    for j in range(df):
-                        if sq.entries[i][j] != 0:
-                            out[d0 + i][d0 + j] = -sq.entries[i][j]
-            comps[q] = Matrix(rows, cols, out)
+            blocks = [(0, 0, m.rig.phi_at(q).scale(p_pow) - Matrix.identity(d0)), (d0, 0, m.c.component(q))]
+            if fsub.dim(q):
+                blocks.append((d0, d0, -(m.s.component(q) * fsub_incl.component(q))))
+            comps[q] = assemble(b_complex.dim(q), a_complex.dim(q), blocks)
         eta = ChainMap(a_complex, b_complex, comps)
         object.__setattr__(self, "phc", m)
         object.__setattr__(self, "twist", n)
@@ -149,38 +130,24 @@ def ext_to_unit_cone(e: ExtComplex, u: SyntomicCone) -> ChainMap:
     m = u.phc
     comps = {}
     for q in set(e.total.dims) | set(u.total.dims):
-        rows = u.total.dim(q)
-        cols = e.total.dim(q)
-        out = [[ZERO] * cols for _ in range(rows)]
         # gamma1 part of degree q-1 -> B^{q-1}
         o_d, o_e, o_f = e.slot1_offsets(q - 1)
         d0 = m.rig.complex.dim(q - 1)
-        dk = m.k.dim(q - 1)
-        for i in range(d0):
-            out[i][o_d + i] = ONE
-        for i in range(dk):
-            out[d0 + i][o_e + i] = ONE
-            out[d0 + i][o_f + i] = ONE
+        id_k = Matrix.identity(m.k.dim(q - 1))
+        blocks = [(0, o_d, Matrix.identity(d0)), (d0, o_e, id_k), (d0, o_f, id_k)]
         # gamma0 part of degree q -> A^q
         base_r = u.b_complex.dim(q - 1)
         base_c = e.gamma1.dim(q - 1)
         o_a, o_b, o_c = e.slot0_offsets(q)
         d0q = m.rig.complex.dim(q)
-        for i in range(d0q):
-            out[base_r + i][base_c + o_a + i] = ONE
-        csize = e.h_ff.complex.dim(q)
-        if csize:
+        blocks.append((base_r, base_c + o_a, Matrix.identity(d0q)))
+        if e.h_ff.complex.dim(q):
             # C-slot coordinates to the F-subcomplex coordinates
-            cbasis = e.h_ff.bases[q]
-            fbasis = u.fsub_incl.component(q)
-            trans = fbasis.solve_matrix(cbasis)
+            trans = u.fsub_incl.component(q).solve_matrix(e.h_ff.bases[q])
             if trans is None:
                 raise ValidationError("filtration-compatible slot does not match the level subcomplex")
-            for i in range(trans.rows):
-                for j in range(csize):
-                    if trans.entries[i][j] != 0:
-                        out[base_r + d0q + i][base_c + o_c + j] = trans.entries[i][j]
-        comps[q] = Matrix(rows, cols, out)
+            blocks.append((base_r + d0q, base_c + o_c, trans))
+        comps[q] = assemble(u.total.dim(q), e.total.dim(q), blocks)
     return ChainMap(e.total, u.total, comps)
 
 
@@ -585,37 +552,16 @@ class DualityMachine:
         p_pow = Fraction(x.frame.p) ** (-i)
         comps = {}
         for q in a_complex.dims:
-            rows, cols = b_complex.dim(q), a_complex.dim(q)
-            out = [[ZERO] * cols for _ in range(rows)]
-            d0 = m.rig.complex.dim(q)
-            ddr = m.dr.carrier.dim(q)
-            dk = m.k.dim(q)
-            df = fsub.dim(q)
-            phi = m.rig.phi_at(q)
-            for r_ in range(d0):
-                for c_ in range(d0):
-                    val = phi.entries[r_][c_] * p_pow - (ONE if r_ == c_ else ZERO)
-                    if val != 0:
-                        out[r_][c_] = val
-            cq = m.c.component(q)
-            for r_ in range(dk):
-                for c_ in range(d0):
-                    if cq.entries[r_][c_] != 0:
-                        out[d0 + r_][c_] = cq.entries[r_][c_]
-            sq = m.s.component(q)
-            for r_ in range(dk):
-                for c_ in range(ddr):
-                    if sq.entries[r_][c_] != 0:
-                        out[d0 + r_][d0 + c_] = -sq.entries[r_][c_]
-            for r_ in range(ddr):
-                out[d0 + dk + r_][d0 + r_] = ONE
-            if df:
-                inc = fsub_incl.component(q)
-                for r_ in range(ddr):
-                    for c_ in range(df):
-                        if inc.entries[r_][c_] != 0:
-                            out[d0 + dk + r_][d0 + ddr + c_] = -inc.entries[r_][c_]
-            comps[q] = Matrix(rows, cols, out)
+            d0, dk, ddr = m.rig.complex.dim(q), m.k.dim(q), m.dr.carrier.dim(q)
+            blocks = [
+                (0, 0, m.rig.phi_at(q).scale(p_pow) - Matrix.identity(d0)),
+                (d0, 0, m.c.component(q)),
+                (d0, d0, -m.s.component(q)),
+                (d0 + dk, d0, Matrix.identity(ddr)),
+            ]
+            if fsub.dim(q):
+                blocks.append((d0 + dk, d0 + ddr, -fsub_incl.component(q)))
+            comps[q] = assemble(b_complex.dim(q), a_complex.dim(q), blocks)
         psi_prime = ChainMap(a_complex, b_complex, comps)
         self.m_a, self.m_b = a_complex, b_complex
         self.m_fsub, self.m_fsub_incl = fsub, fsub_incl
@@ -623,49 +569,35 @@ class DualityMachine:
         self.modified = shift(cone(psi_prime)[0], -1)
         # comparison (id, s, id) / (id, id, s) into the Hom-cone realization
         e = self.e_gamma
-        comps = {}
-        for q in set(self.modified.dims) | set(e.total.dims):
-            rows = e.total.dim(q)
-            cols = self.modified.dim(q)
-            out = [[ZERO] * cols for _ in range(rows)]
-            m0 = m.rig.complex
-            # degree q-1 row: B' = M0 + M_K + M_dR -> Gamma1 = M0 + M_K + M_K
-            o_d, o_e, o_f = e.slot1_offsets(q - 1)
-            d0, dk, ddr = m0.dim(q - 1), m.k.dim(q - 1), m.dr.carrier.dim(q - 1)
-            for r_ in range(d0):
-                out[o_d + r_][r_] = ONE
-            for r_ in range(dk):
-                out[o_e + r_][d0 + r_] = ONE
-            sq = m.s.component(q - 1)
-            for r_ in range(dk):
-                for c_ in range(ddr):
-                    if sq.entries[r_][c_] != 0:
-                        out[o_f + r_][d0 + dk + c_] = sq.entries[r_][c_]
-            # degree q row: A' = M0 + M_dR + F^i -> Gamma0 = M0 + M_K + F-slot
-            base_r = e.gamma1.dim(q - 1)
-            base_c = self.m_b.dim(q - 1)
+        # B' = M0 + M_K + M_dR -> Gamma1 = M0 + M_K + M_K
+        t1 = {}
+        for q in b_complex.dims:
+            o_d, o_e, o_f = e.slot1_offsets(q)
+            d0, dk = m.rig.complex.dim(q), m.k.dim(q)
+            blocks = [(o_d, 0, Matrix.identity(d0)), (o_e, d0, Matrix.identity(dk)), (o_f, d0 + dk, m.s.component(q))]
+            t1[q] = assemble(e.gamma1.dim(q), b_complex.dim(q), blocks)
+        # A' = M0 + M_dR + F^i -> Gamma0 = M0 + M_K + F-slot
+        t0 = {}
+        for q in a_complex.dims:
             o_a, o_b, o_c = e.slot0_offsets(q)
-            d0q, ddrq, dfq = m0.dim(q), m.dr.carrier.dim(q), self.m_fsub.dim(q)
-            for r_ in range(d0q):
-                out[base_r + o_a + r_][base_c + r_] = ONE
-            sq = m.s.component(q)
-            for r_ in range(m.k.dim(q)):
-                for c_ in range(ddrq):
-                    if sq.entries[r_][c_] != 0:
-                        out[base_r + o_b + r_][base_c + d0q + c_] = sq.entries[r_][c_]
-            if dfq:
+            d0, ddr = m.rig.complex.dim(q), m.dr.carrier.dim(q)
+            blocks = [(o_a, 0, Matrix.identity(d0)), (o_b, d0, m.s.component(q))]
+            if fsub.dim(q):
                 cbasis = e.h_ff.bases.get(q)
                 if cbasis is None:
                     raise ValidationError("missing filtration-compatible slot")
-                trans = cbasis.solve_matrix(self.m_fsub_incl.component(q))
+                trans = cbasis.solve_matrix(fsub_incl.component(q))
                 if trans is None:
                     raise ValidationError("level subcomplex does not match the compatible slot")
-                for r_ in range(trans.rows):
-                    for c_ in range(dfq):
-                        if trans.entries[r_][c_] != 0:
-                            out[base_r + o_c + r_][base_c + d0q + ddrq + c_] = trans.entries[r_][c_]
-            comps[q] = Matrix(rows, cols, out)
-        self.modified_to_gamma = ChainMap(self.modified, e.total, comps)
+                blocks.append((o_c, d0 + ddr, trans))
+            t0[q] = assemble(e.gamma0.dim(q), a_complex.dim(q), blocks)
+        self.modified_to_gamma = shifted_cone_map(
+            ChainMap(a_complex, e.gamma0, t0, check=False),
+            ChainMap(b_complex, e.gamma1, t1, check=False),
+            self.modified,
+            e.total,
+            check=True,
+        )
         self.steps["modified_to_gamma_quasi_iso"] = self.modified_to_gamma.is_quasi_iso(via="degreewise")
 
     # -- truncation and trace chain on the compact-support side ----------
@@ -827,25 +759,7 @@ class DualityMachine:
             if lhs != rhs:
                 square_ok = False
         self.steps["pairing_square"] = square_ok
-        comps = {}
-        for q in set(self.modified.dims) | set(e1.total.dims):
-            rows = e1.total.dim(q)
-            cols = self.modified.dim(q)
-            out = [[ZERO] * cols for _ in range(rows)]
-            b1 = beta.component(q - 1)
-            for r_ in range(b1.rows):
-                for c_ in range(b1.cols):
-                    if b1.entries[r_][c_] != 0:
-                        out[r_][c_] = b1.entries[r_][c_]
-            a0 = alpha.component(q)
-            r_off = e1.gamma1.dim(q - 1)
-            c_off = self.m_b.dim(q - 1)
-            for r_ in range(a0.rows):
-                for c_ in range(a0.cols):
-                    if a0.entries[r_][c_] != 0:
-                        out[r_off + r_][c_off + c_] = a0.entries[r_][c_]
-            comps[q] = Matrix(rows, cols, out)
-        self.duality_map = ChainMap(self.modified, e1.total, comps)
+        self.duality_map = shifted_cone_map(alpha, beta, self.modified, e1.total, check=True)
         self.steps["duality_map_quasi_iso"] = self.duality_map.is_quasi_iso(via="degreewise")
 
     def _alpha_column(self, e1, a, slot, unit_vec, t_rig, t_k, t_dr, trunc_rig, trunc_k, trunc_dr):
@@ -1010,16 +924,10 @@ def _hom_element(
         pi = pairing.get(mid_degree)
         if pi is None:
             continue
-        pair_cols = t_complex.complex.dim(mid_degree)
         inner_dim = bsize // left_col.rows if left_col.rows else 0
-        embed = [[ZERO] * inner_dim for _ in range(pair_cols)]
         kr = kron(left_col, Matrix.identity(inner_dim))
-        for rr in range(kr.rows):
-            for cc in range(inner_dim):
-                if kr.entries[rr][cc] != 0:
-                    embed[boff + rr][cc] = kr.entries[rr][cc]
-        embed_m = Matrix(pair_cols, inner_dim, embed)
-        block = trunc.component(mid_degree) * pi * embed_m
+        embed = assemble(t_complex.complex.dim(mid_degree), inner_dim, [(boff, 0, kr)])
+        block = trunc.component(mid_degree) * pi * embed
         if pre is not None:
             block = block * pre
         if block.rows != r or block.cols != c:
@@ -1070,7 +978,7 @@ def gysin_map(f: ProperMapDatum, q: int, i: int) -> Dict[str, object]:
     # middle: precomposition along the compact-support pullback
     e_x = dm_x.e_hom  # Hom cone (N_X, K(i - d))
     e_y = dm_y.e_hom  # Hom cone (N_Y, K(i + c - e)) with i+c-e = i-d
-    t = _precompose_map(e_x, f.pullback, e_y)
+    t = induced_map(e_x, f.pullback, e_y, contravariant=True)
     deg = q - 2 * x.d
     mid = t.induced_on_cohomology(deg)
     w = ry.iso_matrix.inverse() * mid * rx.iso_matrix if rx.lhs_dim and ry.lhs_dim else Matrix.zeros(ry.lhs_dim, rx.lhs_dim)
@@ -1081,77 +989,3 @@ def gysin_map(f: ProperMapDatum, q: int, i: int) -> Dict[str, object]:
         "shift": 2 * c,
         "twist_shift": c,
     }
-
-
-def _precompose_map(e_src: ExtComplex, g: PHodgeMap, e_tgt: ExtComplex) -> ChainMap:
-    """Hom(N_X, P) -> Hom(N_Y, P) induced by g: N_Y -> N_X (with one P)."""
-    maps0 = [
-        e_src.h_rr.pre_compose(g.f_rig, e_tgt.h_rr),
-        e_src.h_kk.pre_compose(g.f_k, e_tgt.h_kk),
-        None,
-    ]
-    full_dd = e_src.h_dd.pre_compose(g.f_dr, e_tgt.h_dd)
-    ff_comps = {}
-    for n_ in set(e_src.h_ff.complex.dims) | set(e_tgt.h_ff.complex.dims):
-        src_b = e_src.h_ff.bases.get(n_)
-        if src_b is None:
-            continue
-        img = full_dd.component(n_) * src_b
-        tgt_b = e_tgt.h_ff.bases.get(n_)
-        if tgt_b is None:
-            if not img.is_zero():
-                raise ValidationError("precomposition does not preserve filtration compatibility")
-            ff_comps[n_] = Matrix.zeros(0, src_b.cols)
-            continue
-        sol = tgt_b.solve_matrix(img)
-        if sol is None:
-            raise ValidationError("precomposition leaves the compatible subcomplex")
-        ff_comps[n_] = sol
-    maps0[2] = ChainMap(e_src.h_ff.complex, e_tgt.h_ff.complex, ff_comps, check=False)
-    maps1 = [
-        e_src.h_rr.pre_compose(g.f_rig, e_tgt.h_rr),
-        e_src.h_rk.pre_compose(g.f_rig, e_tgt.h_rk),
-        e_src.h_dk.pre_compose(g.f_dr, e_tgt.h_dk),
-    ]
-    from .ext import _sum_map  # local reuse of the assembler
-
-    t0 = _sum_map(
-        [e_src.h_rr.complex, e_src.h_kk.complex, e_src.h_ff.complex],
-        e_src.gamma0,
-        e_src.layout0,
-        [e_tgt.h_rr.complex, e_tgt.h_kk.complex, e_tgt.h_ff.complex],
-        e_tgt.gamma0,
-        e_tgt.layout0,
-        maps0,
-    )
-    t1 = _sum_map(
-        [e_src.h_rr.complex, e_src.h_rk.complex, e_src.h_dk.complex],
-        e_src.gamma1,
-        e_src.layout1,
-        [e_tgt.h_rr.complex, e_tgt.h_rk.complex, e_tgt.h_dk.complex],
-        e_tgt.gamma1,
-        e_tgt.layout1,
-        maps1,
-    )
-    for n_ in e_src.gamma0.dims:
-        if t1.component(n_) * e_src.glue.component(n_) != e_tgt.glue.component(n_) * t0.component(n_):
-            raise ValidationError("precomposition does not commute with the glue")
-    comps = {}
-    for n_ in set(e_src.total.dims) | set(e_tgt.total.dims):
-        rows = e_tgt.total.dim(n_)
-        cols = e_src.total.dim(n_)
-        out = [[ZERO] * cols for _ in range(rows)]
-        b1 = t1.component(n_ - 1)
-        for i_ in range(b1.rows):
-            for j_ in range(b1.cols):
-                if b1.entries[i_][j_] != 0:
-                    out[i_][j_] = b1.entries[i_][j_]
-        b0 = t0.component(n_)
-        r_off = e_tgt.gamma1.dim(n_ - 1)
-        c_off = e_src.gamma1.dim(n_ - 1)
-        for i_ in range(b0.rows):
-            for j_ in range(b0.cols):
-                if b0.entries[i_][j_] != 0:
-                    out[r_off + i_][c_off + j_] = b0.entries[i_][j_]
-        comps[n_] = Matrix(rows, cols, out)
-    return ChainMap(e_src.total, e_tgt.total, comps, check=False)

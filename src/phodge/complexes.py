@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .linalg import Matrix, Subspace, hstack, kron, vstack
+from .linalg import Matrix, Subspace, assemble, kron
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -70,9 +70,6 @@ class Complex:
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
 
     def diff(self, n: int) -> Matrix:
         m = self.d.get(n)
@@ -246,8 +243,7 @@ class ChainMap:
 
 def shift(c: Complex, k: int) -> Complex:
     dims = {n - k: dim for n, dim in c.dims.items()}
-    sign = ONE if k % 2 == 0 else -ONE
-    d = {n - k: m.scale(sign) for n, m in c.d.items()}
+    d = {n - k: m if k % 2 == 0 else -m for n, m in c.d.items()}
     return Complex(dims, d, check=False)
 
 
@@ -268,24 +264,39 @@ def cone(f: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
     d = {}
     for n in dims:
         if dims.get(n + 1, 0):
-            top = hstack([b.diff(n), f.component(n + 1)])
-            bot = hstack([Matrix.zeros(a.dim(n + 2), b.dim(n)), -a.diff(n + 1)])
-            d[n] = vstack([top, bot])
+            blocks = [
+                (0, 0, b.diff(n)),
+                (0, b.dim(n), f.component(n + 1)),
+                (b.dim(n + 1), b.dim(n), -a.diff(n + 1)),
+            ]
+            d[n] = assemble(dims[n + 1], dims[n], blocks)
     c = Complex(dims, d, check=False)
-    incl = ChainMap(
-        b,
-        c,
-        {n: vstack([Matrix.identity(b.dim(n)), Matrix.zeros(a.dim(n + 1), b.dim(n))]) for n in b.dims},
-        check=False,
-    )
-    sa = shift(a, 1)
-    proj = ChainMap(
-        c,
-        sa,
-        {n: hstack([Matrix.zeros(a.dim(n + 1), b.dim(n)), Matrix.identity(a.dim(n + 1))]) for n in dims if a.dim(n + 1)},
-        check=False,
-    )
-    return c, incl, proj
+    incl = {n: assemble(dims[n], b.dim(n), [(0, 0, Matrix.identity(b.dim(n)))]) for n in b.dims}
+    proj = {
+        n: assemble(a.dim(n + 1), dims[n], [(0, b.dim(n), Matrix.identity(a.dim(n + 1)))])
+        for n in dims
+        if a.dim(n + 1)
+    }
+    return c, ChainMap(b, c, incl, check=False), ChainMap(c, shift(a, 1), proj, check=False)
+
+
+def shifted_cone_map(
+    t0: ChainMap, t1: ChainMap, source: Complex, target: Complex, *, check: bool = False
+) -> ChainMap:
+    """The map shift(cone(f), -1) -> shift(cone(f'), -1) of a square f' t0 = t1 f.
+
+    t0 runs between the sources of f and f', t1 between their targets.  The
+    degree-n term of shift(cone(f), -1) is f.target^{n-1} (+) f.source^n, so
+    the map is diag(t1[n-1], t0[n]).
+    """
+    comps = {}
+    for n in source.dims:
+        blocks = [
+            (0, 0, t1.component(n - 1)),
+            (t1.target.dim(n - 1), t1.source.dim(n - 1), t0.component(n)),
+        ]
+        comps[n] = assemble(target.dim(n), source.dim(n), blocks)
+    return ChainMap(source, target, comps, check=check)
 
 
 @dataclass(frozen=True)
@@ -307,28 +318,34 @@ def direct_sum(parts: Sequence[Complex]) -> Tuple[Complex, SumLayout]:
             off[n] = dims.get(n, 0)
             dims[n] = dims.get(n, 0) + k
         offsets.append(off)
+    layout = SumLayout(tuple(offsets))
     d = {}
     for n in dims:
         if dims.get(n + 1, 0):
-            blocks = []
-            for p in parts:
-                blocks.append(p.diff(n))
-            d[n] = _block_diag(blocks, dims.get(n + 1, 0), dims.get(n, 0), parts, n)
-    total = Complex(dims, d, check=False)
-    return total, SumLayout(tuple(offsets))
+            blocks = [
+                (layout.offset(i, n + 1), layout.offset(i, n), p.d[n]) for i, p in enumerate(parts) if n in p.d
+            ]
+            d[n] = assemble(dims[n + 1], dims[n], blocks)
+    return Complex(dims, d, check=False), layout
 
 
-def _block_diag(blocks, rows, cols, parts, n):
-    out = [[ZERO] * cols for _ in range(rows)]
-    r0 = 0
-    c0 = 0
-    for p, b in zip(parts, blocks):
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = b.entries[i][j]
-        r0 += p.dim(n + 1)
-        c0 += p.dim(n)
-    return Matrix(rows, cols, out)
+def sum_map(
+    source: Complex,
+    source_layout: SumLayout,
+    target: Complex,
+    target_layout: SumLayout,
+    blocks: Dict[Tuple[int, int], ChainMap],
+) -> ChainMap:
+    """The map of direct sums whose block (i, j) is blocks[(i, j)], a chain
+    map from summand j of the source to summand i of the target."""
+    comps = {}
+    for n in source.dims:
+        placed = [
+            (target_layout.offset(i, n), source_layout.offset(j, n), f.component(n))
+            for (i, j), f in blocks.items()
+        ]
+        comps[n] = assemble(target.dim(n), source.dim(n), placed)
+    return ChainMap(source, target, comps, check=False)
 
 
 def sum_inclusion(parts: Sequence[Complex], total: Complex, layout: SumLayout, index: int) -> ChainMap:
@@ -375,20 +392,17 @@ class TensorComplex:
         d = {}
         for n in dims:
             if dims.get(n + 1, 0):
-                rows = dims[n + 1]
-                out = [[ZERO] * dims[n] for _ in range(rows)]
                 tgt_off = {(i, j): o for i, j, o in blocks[n + 1]}
+                placed = []
                 for i, j, off in blocks[n]:
                     # d_a (x) 1 into block (i+1, j)
                     if (i + 1, j) in tgt_off and a.dim(i + 1):
-                        m = kron(a.diff(i), Matrix.identity(b.dim(j)))
-                        _paste(out, m, tgt_off[(i + 1, j)], off)
+                        placed.append((tgt_off[(i + 1, j)], off, kron(a.diff(i), Matrix.identity(b.dim(j)))))
                     # (-1)^i  1 (x) d_b into block (i, j+1)
                     if (i, j + 1) in tgt_off and b.dim(j + 1):
-                        sign = ONE if i % 2 == 0 else -ONE
-                        m = kron(Matrix.identity(a.dim(i)), b.diff(j)).scale(sign)
-                        _paste(out, m, tgt_off[(i, j + 1)], off)
-                d[n] = Matrix(rows, dims[n], out)
+                        m = kron(Matrix.identity(a.dim(i)), b.diff(j))
+                        placed.append((tgt_off[(i, j + 1)], off, m if i % 2 == 0 else -m))
+                d[n] = assemble(dims[n + 1], dims[n], placed)
         object.__setattr__(self, "complex", Complex(dims, d, check=False))
         object.__setattr__(self, "blocks", blocks)
 
@@ -417,14 +431,6 @@ class TensorComplex:
         return tuple(vec)
 
 
-def _paste(out, m: Matrix, r0: int, c0: int):
-    for i in range(m.rows):
-        row = m.entries[i]
-        for j in range(m.cols):
-            if row[j] != 0:
-                out[r0 + i][c0 + j] = row[j]
-
-
 def tensor(a: Complex, b: Complex) -> TensorComplex:
     return TensorComplex(a, b)
 
@@ -435,14 +441,11 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     tgt = TensorComplex(f.target, g.target)
     comps = {}
     for n, blks in src.blocks.items():
-        rows = tgt.complex.dim(n)
-        out = [[ZERO] * src.complex.dim(n) for _ in range(rows)]
         tgt_off = {(i, j): o for i, j, o in tgt.blocks.get(n, [])}
-        for i, j, off in blks:
-            if (i, j) in tgt_off:
-                m = kron(f.component(i), g.component(j))
-                _paste(out, m, tgt_off[(i, j)], off)
-        comps[n] = Matrix(rows, src.complex.dim(n), out)
+        placed = [
+            (tgt_off[(i, j)], off, kron(f.component(i), g.component(j))) for i, j, off in blks if (i, j) in tgt_off
+        ]
+        comps[n] = assemble(tgt.complex.dim(n), src.complex.dim(n), placed)
     return ChainMap(src.complex, tgt.complex, comps, check=False)
 
 
@@ -474,20 +477,17 @@ class HomComplex:
         d = {}
         for n in dims:
             if dims.get(n + 1, 0):
-                rows = dims[n + 1]
-                out = [[ZERO] * dims[n] for _ in range(rows)]
-                tgt_off = {q: (r, c, o) for q, r, c, o in slots[n + 1]}
-                sign = ONE if n % 2 == 0 else -ONE
+                tgt_off = {q: o for q, r, c, o in slots[n + 1]}
+                placed = []
                 for q, r, c, off in slots[n]:
                     # d_b ∘ f : slot q -> slot q
                     if q in tgt_off and b.dim(q + n + 1):
-                        m = kron(b.diff(q + n), Matrix.identity(a.dim(q)))
-                        _paste(out, m, tgt_off[q][2], off)
+                        placed.append((tgt_off[q], off, kron(b.diff(q + n), Matrix.identity(a.dim(q)))))
                     # -(-1)^n f ∘ d_a : slot q -> slot q-1
                     if (q - 1) in tgt_off and a.dim(q - 1):
-                        m = kron(Matrix.identity(b.dim(q + n)), a.diff(q - 1).transpose()).scale(-sign)
-                        _paste(out, m, tgt_off[q - 1][2], off)
-                d[n] = Matrix(rows, dims[n], out)
+                        m = kron(Matrix.identity(b.dim(q + n)), a.diff(q - 1).transpose())
+                        placed.append((tgt_off[q - 1], off, -m if n % 2 == 0 else m))
+                d[n] = assemble(dims[n + 1], dims[n], placed)
         object.__setattr__(self, "complex", Complex(dims, d, check=False))
         object.__setattr__(self, "_slots", slots)
 
@@ -525,28 +525,26 @@ class HomComplex:
             raise ValidationError("post_compose: map does not start at the target")
         comps = {}
         for n in self._slots:
-            rows = other.complex.dim(n)
-            out = [[ZERO] * self.complex.dim(n) for _ in range(rows)]
-            tgt_off = {q: (r, c, o) for q, r, c, o in other.slots(n)}
-            for q, r, c, off in self.slots(n):
-                if q in tgt_off:
-                    m = kron(g.component(q + n), Matrix.identity(c))
-                    _paste(out, m, tgt_off[q][2], off)
-            comps[n] = Matrix(rows, self.complex.dim(n), out)
+            tgt_off = {q: o for q, r, c, o in other.slots(n)}
+            placed = [
+                (tgt_off[q], off, kron(g.component(q + n), Matrix.identity(c)))
+                for q, r, c, off in self.slots(n)
+                if q in tgt_off
+            ]
+            comps[n] = assemble(other.complex.dim(n), self.complex.dim(n), placed)
         return ChainMap(self.complex, other.complex, comps, check=False)
 
     def pre_compose(self, h: ChainMap, other: "HomComplex") -> ChainMap:
         """Hom(a, b) -> Hom(a', b) induced by h: a' -> a (other = Hom(a', b))."""
         comps = {}
         for n in set(self._slots) | set(other._slots):
-            rows = other.complex.dim(n)
-            out = [[ZERO] * self.complex.dim(n) for _ in range(rows)]
-            src_off = {q: (r, c, o) for q, r, c, o in self.slots(n)}
-            for q, r, c, off in other.slots(n):
-                if q in src_off:
-                    m = kron(Matrix.identity(r), h.component(q).transpose())
-                    _paste(out, m, off, src_off[q][2])
-            comps[n] = Matrix(rows, self.complex.dim(n), out)
+            src_off = {q: o for q, r, c, o in self.slots(n)}
+            placed = [
+                (off, src_off[q], kron(Matrix.identity(r), h.component(q).transpose()))
+                for q, r, c, off in other.slots(n)
+                if q in src_off
+            ]
+            comps[n] = assemble(other.complex.dim(n), self.complex.dim(n), placed)
         return ChainMap(self.complex, other.complex, comps, check=False)
 
 

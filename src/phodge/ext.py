@@ -7,27 +7,33 @@ their direct sums is a difference of two multiplicative maps; the shifted
 cone of the glue computes Hom groups in the localized homotopy category, so
 its cohomology gives the Ext groups.  The same difference structure drives
 the interpolated cup products.
+
+Maps between the direct sums are assembled blockwise by
+``complexes.sum_map`` and maps between the shifted cones by
+``complexes.shifted_cone_map``.  ``induced_map`` builds the map of cones
+induced by a morphism in either argument: post-composition in the second, or
+pre-composition in the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .complexes import (
     ChainMap,
     Complex,
-    HomComplex,
-    SumLayout,
     cone,
     direct_sum,
     hom_complex,
     shift,
+    shifted_cone_map,
+    sum_map,
     tensor,
 )
 from .errors import PreconditionError, ValidationError
-from .linalg import Matrix, kron, restrict_map
+from .linalg import Matrix, assemble, kron, restrict_map, vstack
 from .phc import PHodgeComplex, PHodgeMap, is_quasi_iso_phc, is_unit_like
 
 ZERO = Fraction(0)
@@ -44,7 +50,8 @@ class FilteredHom:
         bases: Dict[int, Matrix] = {}
         dims: Dict[int, int] = {}
         for n in full.complex.dims:
-            conditions: List[Matrix] = []
+            blocks = []
+            cols = 0
             for q, r, c, off in full.slots(n):
                 levels = set(src.filtration.jump_levels(q)) | set(tgt.filtration.jump_levels(q + n))
                 slot_conditions = []
@@ -55,26 +62,14 @@ class FilteredHom:
                     if b.cols == 0 or proj.rows == 0:
                         continue
                     slot_conditions.append(kron(proj, b.transpose()))
-                size = r * c
                 if slot_conditions:
-                    stacked = _vstack_list(slot_conditions)
-                    kernel = stacked.kernel_basis()
+                    kernel = vstack(slot_conditions).kernel_basis()
                 else:
-                    kernel = Matrix.identity(size)
-                conditions.append(kernel)
-            total = full.complex.dim(n)
-            cols = sum(k.cols for k in conditions)
-            out = [[ZERO] * cols for _ in range(total)]
-            roff = 0
-            coff = 0
-            for (q, r, c, off), k in zip(full.slots(n), conditions):
-                for i in range(k.rows):
-                    for j in range(k.cols):
-                        if k.entries[i][j] != 0:
-                            out[off + i][coff + j] = k.entries[i][j]
-                coff += k.cols
+                    kernel = Matrix.identity(r * c)
+                blocks.append((off, cols, kernel))
+                cols += kernel.cols
             if cols:
-                bases[n] = Matrix(total, cols, out)
+                bases[n] = assemble(full.complex.dim(n), cols, blocks)
                 dims[n] = cols
         d = {}
         for n in dims:
@@ -89,15 +84,6 @@ class FilteredHom:
 
     def inclusion(self) -> ChainMap:
         return ChainMap(self.complex, self.full.complex, dict(self.bases), check=False)
-
-
-def _vstack_list(mats: List[Matrix]) -> Matrix:
-    cols = mats[0].cols
-    rows = sum(m.rows for m in mats)
-    out = []
-    for m in mats:
-        out.extend(list(r) for r in m.entries)
-    return Matrix(rows, cols, out)
 
 
 class ExtComplex:
@@ -151,10 +137,8 @@ class ExtComplex:
             (1, 1): h_kk.pre_compose(m.c, h_rk),
             (2, 2): h_dd.post_compose(m2.s, h_dk).compose(ff.inclusion()),
         }
-        parts0 = [h_rr.complex, h_kk.complex, ff.complex]
-        parts1 = [h_rr.complex, h_rk.complex, h_dk.complex]
-        f_map = _assemble(parts0, gamma0, layout0, parts1, gamma1, layout1, f_blocks)
-        g_map = _assemble(parts0, gamma0, layout0, parts1, gamma1, layout1, g_blocks)
+        f_map = sum_map(gamma0, layout0, gamma1, layout1, f_blocks)
+        g_map = sum_map(gamma0, layout0, gamma1, layout1, g_blocks)
         glue = ChainMap(
             gamma0, gamma1, {n: f_map.component(n) - g_map.component(n) for n in gamma0.dims}
         )
@@ -214,29 +198,6 @@ class ExtComplex:
         )
 
 
-def _assemble(parts0, gamma0, layout0, parts1, gamma1, layout1, blocks) -> ChainMap:
-    comps = {}
-    for n in gamma0.dims:
-        rows = gamma1.dim(n)
-        cols = gamma0.dim(n)
-        out = [[ZERO] * cols for _ in range(rows)]
-        for (ti, si), cm in blocks.items():
-            block = cm.component(n)
-            r0 = layout1.offset(ti, n)
-            c0 = layout0.offset(si, n)
-            for i in range(block.rows):
-                row = block.entries[i]
-                for j in range(block.cols):
-                    if row[j] != 0:
-                        out[r0 + i][c0 + j] = row[j]
-        comps[n] = Matrix(rows, cols, out)
-    return ChainMap(gamma0, gamma1, comps, check=False)
-
-
-def ext_complex(m: PHodgeComplex, m2: PHodgeComplex) -> ExtComplex:
-    return ExtComplex(m, m2)
-
-
 def ext(m: PHodgeComplex, m2: PHodgeComplex, n: int):
     """Dimension and representatives of the degree-n Ext group."""
     e = ExtComplex(m, m2)
@@ -244,94 +205,46 @@ def ext(m: PHodgeComplex, m2: PHodgeComplex, n: int):
     return h.dim, h.representatives
 
 
-def induced_map(e_src: ExtComplex, g: PHodgeMap, e_tgt: ExtComplex) -> ChainMap:
-    """Post-composition by g: m2 -> m3 on every Hom node; the induced map of
-    the cones for a fixed first argument."""
-    maps0 = [
-        e_src.h_rr.post_compose(g.f_rig, e_tgt.h_rr),
-        e_src.h_kk.post_compose(g.f_k, e_tgt.h_kk),
-        None,  # filtered piece handled through bases below
-    ]
-    full_dd = e_src.h_dd.post_compose(g.f_dr, e_tgt.h_dd)
+def induced_map(e_src: ExtComplex, g: PHodgeMap, e_tgt: ExtComplex, *, contravariant: bool = False) -> ChainMap:
+    """The map of Hom cones induced by g on every Hom node.
+
+    By default g: m2 -> m3 acts by post-composition, Hom(m, m2) -> Hom(m, m3),
+    and each node uses the component of g on its target side.  With
+    contravariant=True, g: n_y -> n_x acts by pre-composition,
+    Hom(n_x, p) -> Hom(n_y, p), and each node uses the component of g on its
+    source side.
+    """
+
+    def node(name: str, f: ChainMap) -> ChainMap:
+        src, tgt = getattr(e_src, name), getattr(e_tgt, name)
+        return src.pre_compose(f, tgt) if contravariant else src.post_compose(f, tgt)
+
+    # the comparison nodes Hom(rig, k) and Hom(dR, k) differ on their two sides
+    f_rk, f_dk = (g.f_rig, g.f_dr) if contravariant else (g.f_k, g.f_k)
+    rr = node("h_rr", g.f_rig)
+    full_dd = node("h_dd", g.f_dr)
     ff_comps = {}
-    for n in e_src.h_ff.complex.dims:
-        src_b = e_src.h_ff.bases[n]
+    for n, src_b in e_src.h_ff.bases.items():
         img = full_dd.component(n) * src_b
         tgt_b = e_tgt.h_ff.bases.get(n)
         if tgt_b is None:
             if not img.is_zero():
                 raise ValidationError("filtration-compatible maps are not preserved")
-            ff_comps[n] = Matrix.zeros(0, src_b.cols)
             continue
         sol = tgt_b.solve_matrix(img)
         if sol is None:
-            raise ValidationError("post-composition leaves the filtration-compatible subcomplex")
+            raise ValidationError("the induced map leaves the filtration-compatible subcomplex")
         ff_comps[n] = sol
-    maps0[2] = ChainMap(e_src.h_ff.complex, e_tgt.h_ff.complex, ff_comps, check=False)
-    maps1 = [
-        e_src.h_rr.post_compose(g.f_rig, e_tgt.h_rr),
-        e_src.h_rk.post_compose(g.f_k, e_tgt.h_rk),
-        e_src.h_dk.post_compose(g.f_k, e_tgt.h_dk),
-    ]
-    t0 = _sum_map(
-        [e_src.h_rr.complex, e_src.h_kk.complex, e_src.h_ff.complex],
-        e_src.gamma0,
-        e_src.layout0,
-        [e_tgt.h_rr.complex, e_tgt.h_kk.complex, e_tgt.h_ff.complex],
-        e_tgt.gamma0,
-        e_tgt.layout0,
-        maps0,
-    )
-    t1 = _sum_map(
-        [e_src.h_rr.complex, e_src.h_rk.complex, e_src.h_dk.complex],
-        e_src.gamma1,
-        e_src.layout1,
-        [e_tgt.h_rr.complex, e_tgt.h_rk.complex, e_tgt.h_dk.complex],
-        e_tgt.gamma1,
-        e_tgt.layout1,
-        maps1,
-    )
+    ff = ChainMap(e_src.h_ff.complex, e_tgt.h_ff.complex, ff_comps, check=False)
+    blocks0 = {(0, 0): rr, (1, 1): node("h_kk", g.f_k), (2, 2): ff}
+    blocks1 = {(0, 0): rr, (1, 1): node("h_rk", f_rk), (2, 2): node("h_dk", f_dk)}
+    t0 = sum_map(e_src.gamma0, e_src.layout0, e_tgt.gamma0, e_tgt.layout0, blocks0)
+    t1 = sum_map(e_src.gamma1, e_src.layout1, e_tgt.gamma1, e_tgt.layout1, blocks1)
     # square against the glue maps
     for n in e_src.gamma0.dims:
         if t1.component(n) * e_src.glue.component(n) != e_tgt.glue.component(n) * t0.component(n):
             raise ValidationError("induced map does not commute with the glue")
-    comps = {}
-    for n in e_src.total.dims:
-        rows = e_tgt.total.dim(n)
-        cols = e_src.total.dim(n)
-        out = [[ZERO] * cols for _ in range(rows)]
-        b1 = t1.component(n - 1)
-        b0 = t0.component(n)
-        for i in range(b1.rows):
-            for j in range(b1.cols):
-                if b1.entries[i][j] != 0:
-                    out[i][j] = b1.entries[i][j]
-        r_off = e_tgt.gamma1.dim(n - 1)
-        c_off = e_src.gamma1.dim(n - 1)
-        for i in range(b0.rows):
-            for j in range(b0.cols):
-                if b0.entries[i][j] != 0:
-                    out[r_off + i][c_off + j] = b0.entries[i][j]
-        comps[n] = Matrix(rows, cols, out)
-    return ChainMap(e_src.total, e_tgt.total, comps, check=False)
-
-
-def _sum_map(parts_src, total_src, layout_src, parts_tgt, total_tgt, layout_tgt, maps) -> ChainMap:
-    comps = {}
-    for n in set(total_src.dims) | set(total_tgt.dims):
-        rows = total_tgt.dim(n)
-        cols = total_src.dim(n)
-        out = [[ZERO] * cols for _ in range(rows)]
-        for idx, cm in enumerate(maps):
-            block = cm.component(n)
-            r0 = layout_tgt.offset(idx, n)
-            c0 = layout_src.offset(idx, n)
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    if block.entries[i][j] != 0:
-                        out[r0 + i][c0 + j] = block.entries[i][j]
-        comps[n] = Matrix(rows, cols, out)
-    return ChainMap(total_src, total_tgt, comps, check=False)
+    return shifted_cone_map(t0, t1, e_src.total, e_tgt.total)
 
 
 @dataclass

@@ -30,6 +30,23 @@ def parse_rational(data, where: str) -> Fraction:
         raise ValidationError(f"{where}: unreadable scalar {data!r}") from None
 
 
+def parse_dim(data, where: str) -> int:
+    """A dimension from JSON: a nonnegative integer, or a string of one.
+
+    Floats, booleans and negative values are rejected rather than truncated,
+    read as 0 or 1, or silently dropped.
+    """
+    if isinstance(data, bool) or not isinstance(data, (int, str)):
+        raise ValidationError(f"{where}: {type(data).__name__} dimension {data!r} rejected; write a nonnegative integer")
+    try:
+        value = int(data)
+    except ValueError:
+        raise ValidationError(f"{where}: unreadable dimension {data!r}") from None
+    if value < 0:
+        raise ValidationError(f"{where}: negative dimension {value} rejected")
+    return value
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

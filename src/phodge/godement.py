@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .complexes import ChainMap, Complex
 from .errors import PreconditionError, ValidationError
-from .linalg import Matrix, Subspace, kron
+from .linalg import Matrix, Subspace, assemble, kron, vstack
 from .spectral import DoubleComplex, total_complex
 
 ZERO = Fraction(0)
@@ -295,23 +295,11 @@ def t_map(g: SheafMap) -> SheafMap:
     fam_tgt = stalk_family(g.target)
     comps = {}
     for x in site.elements:
-        rows = tgt.dim(x)
-        cols = src.dim(x)
-        out = [[ZERO] * cols for _ in range(rows)]
         offs_s = _point_offsets(site, fam_src, x)
         offs_t = _point_offsets(site, fam_tgt, x)
-        for p in site.points_above(x):
-            block = g.component(p)
-            _paste(out, block, offs_t[p][0], offs_s[p][0])
-        comps[x] = Matrix(rows, cols, out)
+        blocks = [(offs_t[p][0], offs_s[p][0], g.component(p)) for p in site.points_above(x)]
+        comps[x] = assemble(tgt.dim(x), src.dim(x), blocks)
     return SheafMap(src, tgt, comps, check=False)
-
-
-def _paste(out, m: Matrix, r0: int, c0: int):
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if m.entries[i][j] != 0:
-                out[r0 + i][c0 + j] = m.entries[i][j]
 
 
 def unit_map(f: Sheaf) -> SheafMap:
@@ -321,16 +309,7 @@ def unit_map(f: Sheaf) -> SheafMap:
     comps = {}
     for x in site.elements:
         blocks = [f.map(x, p) for p in site.points_above(x)]
-        if blocks:
-            rows = sum(b.rows for b in blocks)
-            out = [[ZERO] * f.dim(x) for _ in range(rows)]
-            r0 = 0
-            for b in blocks:
-                _paste(out, b, r0, 0)
-                r0 += b.rows
-            comps[x] = Matrix(rows, f.dim(x), out)
-        else:
-            comps[x] = Matrix.zeros(0, f.dim(x))
+        comps[x] = vstack(blocks) if blocks else Matrix.zeros(0, f.dim(x))
     return SheafMap(f, tf, comps, check=False)
 
 
@@ -343,20 +322,14 @@ def multiplication_map(f: Sheaf) -> SheafMap:
     fam = stalk_family(f)
     comps = {}
     for x in site.elements:
-        rows = tf.dim(x)
-        cols = ttf.dim(x)
-        out = [[ZERO] * cols for _ in range(rows)]
         offs_outer = _point_offsets(site, stalk_family(tf), x)
         offs_target = _point_offsets(site, fam, x)
+        blocks = []
         for p in site.points_above(x):
             # inside the block TF(p), select the p-component
-            inner = _point_offsets(site, fam, p)
-            off_in_block, k = inner[p]
-            src_off = offs_outer[p][0] + off_in_block
-            tgt_off = offs_target[p][0]
-            for i in range(k):
-                out[tgt_off + i][src_off + i] = ONE
-        comps[x] = Matrix(rows, cols, out)
+            off_in_block, k = _point_offsets(site, fam, p)[p]
+            blocks.append((offs_target[p][0], offs_outer[p][0] + off_in_block, Matrix.identity(k)))
+        comps[x] = assemble(tf.dim(x), ttf.dim(x), blocks)
     return SheafMap(ttf, tf, comps, check=False)
 
 
@@ -521,22 +494,20 @@ def sections(f: Sheaf) -> Tuple[Subspace, Dict[str, Tuple[int, int]]]:
     for x in site.elements:
         offs[x] = (total, f.dim(x))
         total += f.dim(x)
-    rows = []
-    for (a, b) in site.hasse:
+    return _compatible_families(f, site.hasse, offs, total), offs
+
+
+def _compatible_families(f: Sheaf, edges, offs: Dict[str, Tuple[int, int]], total: int) -> Subspace:
+    """Families (s_x) in the sum of values at offs with F(a <= b) s_a = s_b on every edge."""
+    blocks = []
+    rows = 0
+    for a, b in edges:
         m = f.map(a, b)
-        for i in range(m.rows):
-            row = [ZERO] * total
-            for j in range(m.cols):
-                if m.entries[i][j] != 0:
-                    row[offs[a][0] + j] = m.entries[i][j]
-            row[offs[b][0] + i] -= ONE
-            rows.append(row)
-    if rows:
-        ker = Matrix(len(rows), total, rows).kernel_basis()
-        space = Subspace(total, ker)
-    else:
-        space = Subspace.full(total)
-    return space, offs
+        blocks += [(rows, offs[a][0], m), (rows, offs[b][0], -Matrix.identity(m.rows))]
+        rows += m.rows
+    if not rows:
+        return Subspace.full(total)
+    return Subspace(total, assemble(rows, total, blocks).kernel_basis())
 
 
 def sections_map(g: SheafMap, src: Subspace, src_offs, tgt: Subspace, tgt_offs) -> Matrix:
@@ -595,24 +566,15 @@ def nerve_cohomology(f: Sheaf, max_degree: Optional[int] = None) -> Dict[int, in
     for k in range(len(chain_levels) - 1):
         if not dims.get(k, 0) or not dims.get(k + 1, 0):
             continue
-        rows = dims[k + 1]
-        out = [[ZERO] * dims[k] for _ in range(rows)]
+        blocks = []
         for ch, (roff, rdim) in offsets[k + 1].items():
             for i in range(len(ch)):
                 omitted = ch[:i] + ch[i + 1 :]
-                sign = ONE if i % 2 == 0 else -ONE
-                if i < len(ch) - 1:
-                    coff, cdim = offsets[k][omitted]
-                    for t in range(rdim):
-                        out[roff + t][coff + t] += sign
-                else:
-                    coff, cdim = offsets[k][omitted]
-                    m = f.map(omitted[-1], ch[-1])
-                    for r_ in range(m.rows):
-                        for c_ in range(m.cols):
-                            if m.entries[r_][c_] != 0:
-                                out[roff + r_][coff + c_] += sign * m.entries[r_][c_]
-        d[k] = Matrix(rows, dims[k], out)
+                coff, cdim = offsets[k][omitted]
+                # dropping the top of the chain restricts along F; any other face keeps the value
+                m = Matrix.identity(rdim) if i < len(ch) - 1 else f.map(omitted[-1], ch[-1])
+                blocks.append((roff, coff, m if i % 2 == 0 else -m))
+        d[k] = assemble(dims[k + 1], dims[k], blocks)
     c = Complex(dims, d)
     return {q: c.cohomology(q).dim for q in range(0, max_degree + 1)}
 
@@ -732,21 +694,8 @@ class Pushforward:
             for x in fiber:
                 offs[x] = (total, f.dim(x))
                 total += f.dim(x)
-            rows = []
-            for (a, b) in src.hasse:
-                if a in offs and b in offs:
-                    m = f.map(a, b)
-                    for i in range(m.rows):
-                        row = [ZERO] * total
-                        for j in range(m.cols):
-                            if m.entries[i][j] != 0:
-                                row[offs[a][0] + j] = m.entries[i][j]
-                        row[offs[b][0] + i] -= ONE
-                        rows.append(row)
-            if rows:
-                space = Subspace(total, Matrix(len(rows), total, rows).kernel_basis())
-            else:
-                space = Subspace.full(total)
+            edges = [(a, b) for (a, b) in src.hasse if a in offs and b in offs]
+            space = _compatible_families(f, edges, offs, total)
             bases[y] = (space, offs)
             values[y] = space.dim
         maps = {}
@@ -1043,24 +992,20 @@ def gd_tensor(f: Sheaf, g: Sheaf, length: Optional[int] = None) -> TensorCompatR
         # map dimensions must agree on cohomology with the target resolution
         src_d = {}
         for n in range(length):
-            rows = dims[n + 1]
-            cols = dims[n]
-            out = [[ZERO] * cols for _ in range(rows)]
             col_off = 0
             row_offs = []
             acc = 0
             for a in range(n + 2):
                 row_offs.append(acc)
                 acc += towers_f[a + 1].dim(x) * towers_g[n + 1 - a + 1].dim(x)
+            blocks = []
             for a in range(n + 1):
                 b = n - a
                 da = kron(bar_f.differentials[a].component(x), Matrix.identity(towers_g[b + 1].dim(x)))
-                _paste(out, da, row_offs[a + 1], col_off)
-                sign = ONE if a % 2 == 0 else -ONE
-                db = kron(Matrix.identity(towers_f[a + 1].dim(x)), bar_g.differentials[b].component(x)).scale(sign)
-                _paste(out, db, row_offs[a], col_off)
+                db = kron(Matrix.identity(towers_f[a + 1].dim(x)), bar_g.differentials[b].component(x))
+                blocks += [(row_offs[a + 1], col_off, da), (row_offs[a], col_off, db if a % 2 == 0 else -db)]
                 col_off += towers_f[a + 1].dim(x) * towers_g[b + 1].dim(x)
-            src_d[n] = Matrix(rows, cols, out)
+            src_d[n] = assemble(dims[n + 1], dims[n], blocks)
         src = Complex({n: k for n, k in dims.items() if k}, src_d)
         # degree-0 cohomology must be (F (x) G)(x), higher must vanish below the bound
         if src.cohomology(0).dim != fg.dim(x):

@@ -18,7 +18,7 @@ from .absolute import DatumFlags, GeometricDatum, PairingData, ProperMapDatum, T
 from .complexes import ChainMap, Complex
 from .errors import ValidationError
 from .filtered import FilteredComplex, Filtration
-from .frames import CoefficientFrame, NumberField, parse_rational
+from .frames import CoefficientFrame, NumberField, parse_dim, parse_rational
 from .frobenius import FrobeniusComplex
 from .linalg import Matrix, Subspace
 from .godement import FiniteSite, Sheaf, constant_sheaf, indicator_sheaf
@@ -68,7 +68,7 @@ def format_frame(frame: CoefficientFrame):
 
 
 def parse_complex(frame, data) -> Complex:
-    dims = {int(k): int(v) for k, v in data.get("dims", {}).items()}
+    dims = {int(k): parse_dim(v, f"dims[{k}]") for k, v in data.get("dims", {}).items()}
     d = {}
     for k, mat in data.get("d", {}).items():
         n = int(k)
@@ -174,7 +174,7 @@ def parse_datum(data) -> GeometricDatum:
     frame = parse_frame(data["frame"])
     rgamma = parse_phc(data["rgamma"], frame)
     rgamma_c = parse_phc(data["rgamma_c"], frame)
-    d = int(data["d"])
+    d = parse_dim(data["d"], "d")
     from .complexes import tensor
 
     t_rig = tensor(rgamma.rig.complex, rgamma_c.rig.complex).complex
@@ -254,10 +254,10 @@ def format_site(site: FiniteSite):
 
 def parse_sheaf(data, site: FiniteSite) -> Sheaf:
     if "constant" in data:
-        return constant_sheaf(site, int(data["constant"]))
+        return constant_sheaf(site, parse_dim(data["constant"], "constant"))
     if "indicator" in data:
-        return indicator_sheaf(site, data["indicator"], int(data.get("dim", 1)))
-    values = {k: int(v) for k, v in data.get("values", {}).items()}
+        return indicator_sheaf(site, data["indicator"], parse_dim(data.get("dim", 1), "dim"))
+    values = {k: parse_dim(v, f"values[{k}]") for k, v in data.get("values", {}).items()}
     maps = {}
     for entry in data.get("maps", []):
         a, b = entry["from"], entry["to"]
@@ -277,7 +277,7 @@ def parse_double_complex(data) -> DoubleComplex:
     spaces = {}
     for key, v in data.get("spaces", {}).items():
         p, q = key.split(",")
-        spaces[(int(p), int(q))] = int(v)
+        spaces[(int(p), int(q))] = parse_dim(v, f"spaces[{key}]")
 
     def get(d, p, q):
         return d.get(f"{p},{q}")

@@ -19,13 +19,17 @@ A ``Subspace`` basis is the transpose of an RREF with unit pivots, and the
 subspace keeps the pivot row of each basis column.  The coordinates of a
 vector are therefore its entries at those rows; one product with the basis
 checks membership.  No elimination is needed per vector.
+
+Every block matrix in the package (direct sums, cones, tensor and Hom
+differentials, maps between them) is built by ``assemble``, which writes the
+nonzero entries of each block at its offset into one zero scaffold.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 
@@ -392,8 +396,23 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(sum(m.rows for m in mats), cols, [list(r) for m in mats for r in m.entries])
 
 
-def block_matrix(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
-    return vstack([hstack(row) for row in blocks])
+def assemble(rows: int, cols: int, blocks: Iterable[Tuple[int, int, Matrix]]) -> Matrix:
+    """The rows x cols matrix with each (r0, c0, block) placed at its offset.
+
+    The nonzero entries of every block are written into one zero scaffold, so
+    empty blocks and zero entries cost nothing; where blocks overlap, a later
+    block's nonzero entries win.  A block that does not fit is rejected.
+    """
+    out = [[ZERO] * cols for _ in range(rows)]
+    for r0, c0, m in blocks:
+        if r0 < 0 or c0 < 0 or r0 + m.rows > rows or c0 + m.cols > cols:
+            raise ValidationError(f"{m.rows}x{m.cols} block at ({r0}, {c0}) does not fit in {rows}x{cols}")
+        for i, row in enumerate(m.entries, r0):
+            target = out[i]
+            for j, x in enumerate(row, c0):
+                if x != 0:
+                    target[j] = x
+    return Matrix(rows, cols, out)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -22,6 +22,7 @@ from .complexes import (
     shift,
     shift_map,
     sum_inclusion,
+    sum_map,
     sum_projection,
     tensor,
     tensor_map,
@@ -30,7 +31,7 @@ from .errors import PreconditionError, ValidationError
 from .filtered import FilteredComplex, FilteredMap, Filtration, is_filtered_quasi_iso, filtered_truncate
 from .frames import CoefficientFrame
 from .frobenius import FrobeniusComplex, sigma_matrix, twist_frobenius
-from .linalg import Matrix, Subspace, hstack, kron, restrict_map, vstack
+from .linalg import Matrix, Subspace, assemble, hstack, kron, restrict_map, vstack
 
 ONE = Fraction(1)
 
@@ -65,13 +66,6 @@ class PHodgeComplex:
 
     def __setattr__(self, *a):
         raise AttributeError("PHodgeComplex is immutable")
-
-    def component_cohomology(self) -> Dict[str, Dict[int, int]]:
-        return {
-            "rig": self.rig.complex.cohomology_dims(),
-            "k": self.k.cohomology_dims(),
-            "dr": self.dr.carrier.cohomology_dims(),
-        }
 
     def is_acyclic(self) -> bool:
         return (
@@ -219,15 +213,7 @@ def tensor_phc(m: PHodgeComplex, m2: PHodgeComplex) -> PHodgeComplex:
     phi = {}
     for n, blocks in t_rig.blocks.items():
         size = t_rig.complex.dim(n)
-        out = [[Fraction(0)] * size for _ in range(size)]
-        for i, j, off in blocks:
-            blk = kron(m.rig.phi_at(i), m2.rig.phi_at(j))
-            for r in range(blk.rows):
-                row = blk.entries[r]
-                for cc in range(blk.cols):
-                    if row[cc] != 0:
-                        out[off + r][off + cc] = row[cc]
-        phi[n] = Matrix(size, size, out)
+        phi[n] = assemble(size, size, [(off, off, kron(m.rig.phi_at(i), m2.rig.phi_at(j))) for i, j, off in blocks])
     rig = FrobeniusComplex(frame, t_rig.complex, phi, check=False)
     dr = FilteredComplex(t_dr.complex, _tensor_filtration(m.dr, m2.dr, t_dr), check=False)
     c = tensor_map(m.c, m2.c)
@@ -264,15 +250,8 @@ def direct_sum_phc(parts: Sequence[PHodgeComplex]) -> PHodgeComplex:
     phi = {}
     for n in rig_total.dims:
         size = rig_total.dim(n)
-        out = [[Fraction(0)] * size for _ in range(size)]
-        for idx, p in enumerate(parts):
-            off = rig_layout.offset(idx, n)
-            blk = p.rig.phi_at(n)
-            for r in range(blk.rows):
-                for cc in range(blk.cols):
-                    if blk.entries[r][cc] != 0:
-                        out[off + r][off + cc] = blk.entries[r][cc]
-        phi[n] = Matrix(size, size, out)
+        blocks = [(rig_layout.offset(i, n), rig_layout.offset(i, n), p.rig.phi_at(n)) for i, p in enumerate(parts)]
+        phi[n] = assemble(size, size, blocks)
     rig = FrobeniusComplex(frame, rig_total, phi, check=False)
     records: Dict[int, List[Tuple[int, Subspace]]] = {}
     for n in dr_total.dims:
@@ -302,32 +281,9 @@ def direct_sum_phc(parts: Sequence[PHodgeComplex]) -> PHodgeComplex:
                 cleaned.append((level, space))
         records[n] = cleaned
     dr = FilteredComplex(dr_total, Filtration(dict(dr_total.dims), records), check=False)
-    c_comps = {}
-    s_comps = {}
-    for n in k_total.dims:
-        c_blocks = []
-        s_blocks = []
-        for idx, p in enumerate(parts):
-            c_blocks.append(p.c.component(n))
-            s_blocks.append(p.s.component(n))
-        c_comps[n] = _offset_block_diag(c_blocks, k_total.dim(n), rig_total.dim(n))
-        s_comps[n] = _offset_block_diag(s_blocks, k_total.dim(n), dr_total.dim(n))
-    c = ChainMap(rig_total, k_total, c_comps, check=False)
-    s = ChainMap(dr_total, k_total, s_comps, check=False)
+    c = sum_map(rig_total, rig_layout, k_total, k_layout, {(i, i): p.c for i, p in enumerate(parts)})
+    s = sum_map(dr_total, dr_layout, k_total, k_layout, {(i, i): p.s for i, p in enumerate(parts)})
     return PHodgeComplex(frame, rig, dr, k_total, c, s, check=False)
-
-
-def _offset_block_diag(blocks: Sequence[Matrix], rows: int, cols: int) -> Matrix:
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                if b.entries[i][j] != 0:
-                    out[r0 + i][c0 + j] = b.entries[i][j]
-        r0 += b.rows
-        c0 += b.cols
-    return Matrix(rows, cols, out)
 
 
 def cone_phc(f: PHodgeMap) -> PHodgeComplex:
@@ -339,17 +295,8 @@ def cone_phc(f: PHodgeMap) -> PHodgeComplex:
     phi = {}
     for q in rig_cone.dims:
         bt = n.rig.phi_at(q)
-        bs = m.rig.phi_at(q + 1)
         size = rig_cone.dim(q)
-        out = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(bt.rows):
-            for j in range(bt.cols):
-                out[i][j] = bt.entries[i][j]
-        off = bt.rows
-        for i in range(bs.rows):
-            for j in range(bs.cols):
-                out[off + i][off + j] = bs.entries[i][j]
-        phi[q] = Matrix(size, size, out)
+        phi[q] = assemble(size, size, [(0, 0, bt), (bt.rows, bt.rows, m.rig.phi_at(q + 1))])
     rig = FrobeniusComplex(m.frame, rig_cone, phi, check=False)
     records: Dict[int, List[Tuple[int, Subspace]]] = {}
     for q in dr_cone.dims:
@@ -385,24 +332,12 @@ def cone_phc(f: PHodgeMap) -> PHodgeComplex:
     c_comps = {}
     s_comps = {}
     for q in k_cone.dims:
-        c_comps[q] = _two_block_diag(n.c.component(q), m.c.component(q + 1), k_cone.dim(q), rig_cone.dim(q))
-        s_comps[q] = _two_block_diag(n.s.component(q), m.s.component(q + 1), k_cone.dim(q), dr_cone.dim(q))
+        ct, st = n.c.component(q), n.s.component(q)
+        c_comps[q] = assemble(k_cone.dim(q), rig_cone.dim(q), [(0, 0, ct), (ct.rows, ct.cols, m.c.component(q + 1))])
+        s_comps[q] = assemble(k_cone.dim(q), dr_cone.dim(q), [(0, 0, st), (st.rows, st.cols, m.s.component(q + 1))])
     c = ChainMap(rig_cone, k_cone, c_comps, check=False)
     s = ChainMap(dr_cone, k_cone, s_comps, check=False)
     return PHodgeComplex(m.frame, rig, dr, k_cone, c, s, check=False)
-
-
-def _two_block_diag(b1: Matrix, b2: Matrix, rows: int, cols: int) -> Matrix:
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(b1.rows):
-        for j in range(b1.cols):
-            if b1.entries[i][j] != 0:
-                out[i][j] = b1.entries[i][j]
-    for i in range(b2.rows):
-        for j in range(b2.cols):
-            if b2.entries[i][j] != 0:
-                out[b1.rows + i][b1.cols + j] = b2.entries[i][j]
-    return Matrix(rows, cols, out)
 
 
 def quasi_pushout(f: ChainMap, g: ChainMap) -> Tuple[Complex, ChainMap, ChainMap, Dict[int, Matrix]]:
@@ -427,13 +362,7 @@ def quasi_pushout(f: ChainMap, g: ChainMap) -> Tuple[Complex, ChainMap, ChainMap
     homotopy = {}
     for n in m2.dims:
         # h: M2^n -> Q^{n-1} = (M1+M3)^{n-1} (+) M2^n, inclusion into the shifted slot
-        rows = q.dim(n - 1)
-        cols = m2.dim(n)
-        out = [[Fraction(0)] * cols for _ in range(rows)]
-        off = prod.dim(n - 1)
-        for i in range(cols):
-            out[off + i][i] = ONE
-        homotopy[n] = Matrix(rows, cols, out)
+        homotopy[n] = assemble(q.dim(n - 1), m2.dim(n), [(prod.dim(n - 1), 0, Matrix.identity(m2.dim(n)))])
     return q, map1, map3, homotopy
 
 

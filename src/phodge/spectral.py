@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import ChainMap, Complex
 from .errors import ValidationError
 from .filtered import FilteredComplex
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, assemble
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -75,10 +75,6 @@ class DoubleComplex:
         ps = [p for p, _ in self.spaces]
         return (min(ps), max(ps)) if ps else (0, 0)
 
-    def q_range(self) -> Tuple[int, int]:
-        qs = [q for _, q in self.spaces]
-        return (min(qs), max(qs)) if qs else (0, 0)
-
 
 @dataclass(frozen=True)
 class TotalLayout:
@@ -108,27 +104,16 @@ def total_complex(dc: DoubleComplex) -> Tuple[Complex, TotalLayout]:
     for n in dims:
         if not dims.get(n + 1, 0):
             continue
-        rows = dims[n + 1]
-        out = [[ZERO] * dims[n] for _ in range(rows)]
-        tgt = {p: (off, k) for p, q, off, k in blocks[n + 1]}
+        tgt = {p: off for p, q, off, k in blocks[n + 1]}
+        placed = []
         for p, q, off, k in blocks[n]:
             if (p + 1) in tgt:
-                m = dc.dh_at(p, q)
-                _paste(out, m, tgt[p + 1][0], off)
+                placed.append((tgt[p + 1], off, dc.dh_at(p, q)))
             if p in tgt:
-                m = dc.dv_at(p, q)
-                _paste(out, m, tgt[p][0], off)
-        d[n] = Matrix(rows, dims[n], out)
+                placed.append((tgt[p], off, dc.dv_at(p, q)))
+        d[n] = assemble(dims[n + 1], dims[n], placed)
     total = Complex(dims, d)
     return total, TotalLayout({n: tuple(v) for n, v in blocks.items()})
-
-
-def _paste(out, m: Matrix, r0: int, c0: int):
-    for i in range(m.rows):
-        row = m.entries[i]
-        for j in range(m.cols):
-            if row[j] != 0:
-                out[r0 + i][c0 + j] = row[j]
 
 
 @dataclass

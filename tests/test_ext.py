@@ -171,14 +171,20 @@ def test_ext_function_surface(frame):
     assert dim == 1 and reps.cols == 1
 
 
-def test_induced_map_commutes_with_glue(frame):
+@pytest.mark.parametrize("contravariant", [False, True])
+def test_induced_map_commutes_with_glue(frame, contravariant):
     rng = random.Random(67)
     m = rand_phc(rng, frame, lo=0, hi=1, max_dim=2)
     m2 = rand_phc(rng, frame, lo=0, hi=1, max_dim=2)
     g = rand_quasi_iso_extension(rng, m2)
-    e_src = ExtComplex(m, g.source)
-    e_tgt = ExtComplex(m, g.target)
-    t = induced_map(e_src, g, e_tgt)
+    if contravariant:
+        # pre-composition: g: m2 -> m2' gives Hom(m2', m) -> Hom(m2, m)
+        e_src = ExtComplex(g.target, m)
+        e_tgt = ExtComplex(g.source, m)
+    else:
+        e_src = ExtComplex(m, g.source)
+        e_tgt = ExtComplex(m, g.target)
+    t = induced_map(e_src, g, e_tgt, contravariant=contravariant)
     ChainMap(t.source, t.target, t.components)  # chain map revalidation
 
 

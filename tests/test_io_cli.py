@@ -130,6 +130,38 @@ def test_cli_rejects_float_and_bool_scalars(tmp_path, capsys, name, command, edi
     assert "Traceback" not in captured.err
 
 
+def _set_space(value):
+    def edit(data):
+        data["spaces"]["2,0"] = value
+
+    return edit
+
+
+def _set_constant(value):
+    def edit(data):
+        data["constant"] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, args, edit, entry",
+    [
+        ("d2page.dcomplex", ["ss"], _set_space(1.9), "spaces[2,0]"),
+        ("d2page.dcomplex", ["ss"], _set_space(True), "spaces[2,0]"),
+        ("d2page.dcomplex", ["ss"], _set_space(-1), "spaces[2,0]"),
+        ("constK.sheaf", ["godement", "sierpinski.site"], _set_constant(1.9), "constant"),
+    ],
+)
+def test_cli_rejects_float_bool_and_negative_dimensions(tmp_path, capsys, name, args, edit, entry):
+    path = _edited_corpus_file(tmp_path, name, edit)
+    assert main([*args, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert entry in captured.err and "rejected" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_accepts_integer_and_string_scalars(tmp_path, capsys):
     assert main(["ss", _edited_corpus_file(tmp_path, "d2page.dcomplex", _set_dh(1))]) == 0
     assert main(["validate", _edited_corpus_file(tmp_path, "tate0.phc", _set_extension([-2, "0", 1], [0, "-1"]))]) == 0

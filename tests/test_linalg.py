@@ -5,7 +5,7 @@ import pytest
 
 from phodge.errors import ValidationError
 from phodge.frames import CoefficientFrame, NumberField
-from phodge.linalg import Matrix, Subspace, _rref_generic, _rref_integer, kron, rank_decomposition
+from phodge.linalg import Matrix, Subspace, _rref_generic, _rref_integer, assemble, kron, rank_decomposition
 
 from helpers import rand_matrix, rand_scalar
 
@@ -149,6 +149,48 @@ def test_integer_rref_matches_generic_kernel():
         assert (Matrix(rows, cols, fast), fast_pivots) == (Matrix(rows, cols, slow), slow_pivots)
         assert Matrix(rows, cols, m).rref() == (Matrix(rows, cols, slow), slow_pivots)
     assert all(seen.values()), seen
+
+
+def _assemble_reference(rows, cols, blocks):
+    """Entry by entry: the last block holding a nonzero entry at (i, j) gives its value."""
+
+    def entry(i, j):
+        value = F(0)
+        for r0, c0, m in blocks:
+            if r0 <= i < r0 + m.rows and c0 <= j < c0 + m.cols and m.entries[i - r0][j - c0] != 0:
+                value = m.entries[i - r0][j - c0]
+        return value
+
+    return Matrix(rows, cols, [[entry(i, j) for j in range(cols)] for i in range(rows)])
+
+
+def test_assemble_matches_entrywise_reference():
+    rng = random.Random(110)
+    seen = dict.fromkeys(["no_blocks", "zero_rows", "zero_cols", "right_edge", "bottom_edge", "overlap"], False)
+    cases = [(0, 0, []), (0, 3, [(0, 1, Matrix.zeros(0, 2))]), (3, 0, [(1, 0, Matrix.zeros(2, 0))])]
+    for _ in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        blocks = []
+        for _ in range(rng.randint(0, 4)):
+            h, w = rng.randint(0, rows), rng.randint(0, cols)
+            r0, c0 = rng.randint(0, rows - h), rng.randint(0, cols - w)
+            blocks.append((r0, c0, rand_matrix(rng, h, w)))
+        cases.append((rows, cols, blocks))
+    for rows, cols, blocks in cases:
+        seen["no_blocks"] |= not blocks
+        for r0, c0, m in blocks:
+            seen["zero_rows"] |= m.rows == 0 and m.cols > 0
+            seen["zero_cols"] |= m.cols == 0 and m.rows > 0
+            seen["right_edge"] |= m.cols > 0 and c0 + m.cols == cols
+            seen["bottom_edge"] |= m.rows > 0 and r0 + m.rows == rows
+        cells = [(r0 + i, c0 + j) for r0, c0, m in blocks for i in range(m.rows) for j in range(m.cols)]
+        seen["overlap"] |= len(cells) != len(set(cells))
+        assert assemble(rows, cols, blocks) == _assemble_reference(rows, cols, blocks)
+    assert all(seen.values()), seen
+    # blocks past an edge or at a negative offset are rejected, not wrapped or cut
+    for r0, c0, size in ((1, 1, 2), (2, 0, 1), (0, 2, 1), (-1, 0, 1), (0, -1, 1)):
+        with pytest.raises(ValidationError):
+            assemble(2, 2, [(r0, c0, Matrix.identity(size))])
 
 
 def _random_vector(rng, n):

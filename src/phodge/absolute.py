@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .complexes import ChainMap, Complex, cone, direct_sum, shift, shifted_cone_map, tensor
 from .errors import PreconditionError, ValidationError
@@ -79,12 +79,8 @@ class SyntomicCone:
         """total -> A, a chain map (degree q part (B^{q-1}, A^q) -> A^q)."""
         comps = {}
         for q in self.total.dims:
-            off = self.b_complex.dim(q - 1)
             rows = self.a_complex.dim(q)
-            total = self.total.dim(q)
-            comps[q] = Matrix(
-                rows, total, [[ONE if j == off + i else ZERO for j in range(total)] for i in range(rows)]
-            )
+            comps[q] = assemble(rows, self.total.dim(q), [(0, self.b_complex.dim(q - 1), Matrix.identity(rows))])
         return ChainMap(self.total, self.a_complex, comps, check=False)
 
     def inclusion_of_shifted(self) -> ChainMap:
@@ -92,9 +88,7 @@ class SyntomicCone:
         sb = shift(self.b_complex, -1)
         comps = {}
         for q in sb.dims:
-            rows = self.total.dim(q)
-            cols = sb.dim(q)
-            comps[q] = Matrix(rows, cols, [[ONE if i == j else ZERO for j in range(cols)] for i in range(rows)])
+            comps[q] = assemble(self.total.dim(q), sb.dim(q), [(0, 0, Matrix.identity(sb.dim(q)))])
         return ChainMap(sb, self.total, comps, check=False)
 
 
@@ -143,7 +137,7 @@ def ext_to_unit_cone(e: ExtComplex, u: SyntomicCone) -> ChainMap:
         blocks.append((base_r, base_c + o_a, Matrix.identity(d0q)))
         if e.h_ff.complex.dim(q):
             # C-slot coordinates to the F-subcomplex coordinates
-            trans = u.fsub_incl.component(q).solve_matrix(e.h_ff.bases[q])
+            trans = m.dr.level(q, u.twist).coords_matrix(e.h_ff.bases[q].basis)
             if trans is None:
                 raise ValidationError("filtration-compatible slot does not match the level subcomplex")
             blocks.append((base_r + d0q, base_c + o_c, trans))
@@ -244,26 +238,11 @@ def long_exact_sequence(m: PHodgeComplex, n: int, variant: str = "rigid") -> LES
                     for i in range(hdr.dim)
                 )
             cols.append(tuple(first) + tuple(second))
-        rows = terms[q][2]
-        maps_b[q] = Matrix(rows, h_a.dim, list(map(list, zip(*cols))) if cols and rows else [[] for _ in range(rows)])
-        # H^q(M0) (+) H^q(other) -> H^{q+1}(total)
-        h_u1 = u.total.cohomology(q + 1)
-        cols = []
-        for j in range(h0.dim):
-            rep = h0.representatives.col_tuple(j)
-            vec = tuple(rep) + tuple([ZERO] * m.k.dim(q))
-            cols.append(h_u1.project(incl.component(q + 1).apply(vec)))
-        for j in range(h_other.dim):
-            rep = h_other.representatives.col_tuple(j)
-            if variant == "rigid":
-                kvec = m.c.component(q).apply(rep)
-            else:
-                kvec = m.s.component(q).apply(rep)
-            vec = tuple([ZERO] * m.rig.complex.dim(q)) + tuple(kvec)
-            cols.append(h_u1.project(incl.component(q + 1).apply(vec)))
-        maps_c[q] = Matrix(
-            h_u1.dim, len(cols), list(map(list, zip(*cols))) if cols and h_u1.dim else [[] for _ in range(h_u1.dim)]
-        )
+        maps_b[q] = Matrix.from_columns(terms[q][2], cols)
+        # H^q(M0) (+) H^q(other) -> H^{q+1}(total): representatives (z, 0) and (0, comp(z))
+        reps = [(0, 0, h0.representatives), (d0, h0.dim, comp.component(q) * h_other.representatives)]
+        vecs = assemble(d0 + m.k.dim(q), h0.dim + h_other.dim, reps)
+        maps_c[q] = u.total.cohomology(q + 1).class_matrix(incl.component(q + 1) * vecs)
     joints: List[SequenceJoint] = []
     for q in range(lo, hi + 1):
         joints.append(_joint(q, "sum", maps_a[q], maps_b[q]))
@@ -386,12 +365,10 @@ class GeometricDatum:
         # filtration jump of the trace line at level d (inside the cocycles)
         zdr_sub = n.dr.carrier.cohomology(top)
         fl = n.dr.level(top, self.d).intersect(zdr_sub.cocycles)
-        classes = [zdr_sub.project(fl.basis.col_tuple(j)) for j in range(fl.dim)]
-        if not any(any(x != 0 for x in cl) for cl in classes):
+        if zdr_sub.class_matrix(fl.basis).is_zero():
             raise ValidationError("trace line filtration does not reach level d")
         flp = n.dr.level(top, self.d + 1).intersect(zdr_sub.cocycles)
-        classes = [zdr_sub.project(flp.basis.col_tuple(j)) for j in range(flp.dim)]
-        if any(any(x != 0 for x in cl) for cl in classes):
+        if not zdr_sub.class_matrix(flp.basis).is_zero():
             raise ValidationError("trace line filtration does not vanish above level d")
         flp_full = n.dr.level(top, self.d + 1)
         if flp_full.dim and (self.trace.dr * flp_full.basis).rank:
@@ -583,10 +560,10 @@ class DualityMachine:
             d0, ddr = m.rig.complex.dim(q), m.dr.carrier.dim(q)
             blocks = [(o_a, 0, Matrix.identity(d0)), (o_b, d0, m.s.component(q))]
             if fsub.dim(q):
-                cbasis = e.h_ff.bases.get(q)
-                if cbasis is None:
+                cspace = e.h_ff.bases.get(q)
+                if cspace is None:
                     raise ValidationError("missing filtration-compatible slot")
-                trans = cbasis.solve_matrix(fsub_incl.component(q))
+                trans = cspace.coords_matrix(fsub_incl.component(q))
                 if trans is None:
                     raise ValidationError("level subcomplex does not match the compatible slot")
                 blocks.append((o_c, d0 + ddr, trans))
@@ -724,10 +701,7 @@ class DualityMachine:
                 xe = [ZERO] * df
                 xe[idx] = ONE
                 cols.append(self._alpha_column(e1, a, "filtered", tuple(xe), t_rig, t_k, t_dr, trunc_rig, trunc_k, trunc_dr))
-            rows = e1.gamma0.dim(a)
-            alpha_comps[a] = Matrix(
-                rows, len(cols), list(map(list, zip(*cols))) if cols and rows else [[] for _ in range(rows)]
-            )
+            alpha_comps[a] = Matrix.from_columns(e1.gamma0.dim(a), cols)
         for a in set(self.m_b.dims) | set(e1.gamma1.dims):
             cols = []
             d0 = m.rig.complex.dim(a)
@@ -745,10 +719,7 @@ class DualityMachine:
                 xe = [ZERO] * ddr
                 xe[idx] = ONE
                 cols.append(self._beta_column(e1, a, "dr", tuple(xe), t_rig, t_k, trunc_rig, trunc_k))
-            rows = e1.gamma1.dim(a)
-            beta_comps[a] = Matrix(
-                rows, len(cols), list(map(list, zip(*cols))) if cols and rows else [[] for _ in range(rows)]
-            )
+            beta_comps[a] = Matrix.from_columns(e1.gamma1.dim(a), cols)
         alpha = ChainMap(self.m_a, e1.gamma0, alpha_comps, check=False)
         beta = ChainMap(self.m_b, e1.gamma1, beta_comps, check=False)
         # square against the two glue maps, then assemble the cone map
@@ -784,12 +755,12 @@ class DualityMachine:
             comp = _hom_element(e1.h_dd, a, n.dr.carrier, self.p1.dr.carrier, x.pairing.dr, t_dr, trunc_dr, amb, None)
             for pos, val in comp:
                 raw[pos] = val
-            basis = e1.h_ff.bases.get(a)
-            if basis is None:
+            space = e1.h_ff.bases.get(a)
+            if space is None:
                 if any(v != 0 for v in raw):
                     raise ValidationError("pairing image escapes the filtration-compatible slot")
             else:
-                coords = basis.solve(raw)
+                coords = space.coords_of(raw)
                 if coords is None:
                     raise ValidationError("pairing image escapes the filtration-compatible slot")
                 for pos, val in enumerate(coords):
@@ -880,10 +851,7 @@ def _truncation_projection(src: Complex, tgt: Complex, top: int) -> ChainMap:
         if q >= top:
             comps[q] = Matrix.identity(src.dim(q))
         elif q == top - 1:
-            sol = img.basis.solve_matrix(src.diff(top - 1))
-            if sol is None:
-                raise ValidationError("truncation projection failed")
-            comps[q] = sol
+            comps[q] = img.coords_matrix(src.diff(top - 1))
     return ChainMap(src, tgt, comps, check=False)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Dict, List
 
 from . import io as pio
@@ -30,6 +29,7 @@ from .absolute import (
 )
 from .errors import PreconditionError, ValidationError
 from .ext import ExtComplex
+from .frames import parse_rational
 from .godement import FiniteSite, sheaf_cohomology
 from .phc import PHodgeComplex
 from .spectral import DoubleComplex, pages, total_complex
@@ -239,7 +239,7 @@ def cmd_cup(args) -> int:
     x = pio.load_object(pio.resolve(args.datum))
     if not isinstance(x, GeometricDatum):
         raise ValidationError("cup expects a geometric datum file")
-    out = cup_absolute(x, args.deg1, args.twist1, args.deg2, args.twist2, alpha=Fraction(args.alpha))
+    out = cup_absolute(x, args.deg1, args.twist1, args.deg2, args.twist2, alpha=parse_rational(args.alpha, "--alpha"))
     payload = {
         "name": x.name,
         "source_dims": list(out["source_dims"]),

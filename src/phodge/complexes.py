@@ -20,7 +20,6 @@ from .errors import ValidationError
 from .linalg import Matrix, Subspace, assemble, kron
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Complex:
@@ -113,16 +112,10 @@ class Cohomology:
 
     def __init__(self, c: Complex, n: int):
         z = Subspace(c.dim(n), c.diff(n).kernel_basis())
-        b_cols = c.diff(n - 1)
-        b_in_z = []
-        for j in range(b_cols.cols):
-            col = b_cols.col_tuple(j)
-            coords = z.coords_of(col)
-            if coords is None:
-                raise ValidationError("image of d is not contained in the kernel")
-            b_in_z.append(coords)
-        inner = Subspace.from_vectors(b_in_z, z.dim)
-        proj, sect = inner.quotient()
+        b_in_z = z.coords_matrix(c.diff(n - 1))
+        if b_in_z is None:
+            raise ValidationError("image of d is not contained in the kernel")
+        proj, sect = Subspace(z.dim, b_in_z).quotient()
         object.__setattr__(self, "complex", c)
         object.__setattr__(self, "degree", n)
         object.__setattr__(self, "dim", proj.rows)
@@ -145,7 +138,7 @@ class Cohomology:
         return self._class_proj.apply(coords)
 
     def class_matrix(self, vectors: Matrix) -> Matrix:
-        coords = self._cocycles.basis.solve_matrix(vectors)
+        coords = self._cocycles.coords_matrix(vectors)
         if coords is None:
             raise ValidationError("some column is not a cocycle")
         return self._class_proj * coords
@@ -205,9 +198,6 @@ class ChainMap:
     def __sub__(self, other: "ChainMap") -> "ChainMap":
         comps = {n: self.component(n) - other.component(n) for n in set(self.source.dims)}
         return ChainMap(self.source, self.target, comps, check=False)
-
-    def scale(self, s) -> "ChainMap":
-        return ChainMap(self.source, self.target, {n: m.scale(s) for n, m in self.components.items()}, check=False)
 
     def induced_on_cohomology(self, n: int) -> Matrix:
         src = self.source.cohomology(n)
@@ -352,9 +342,7 @@ def sum_inclusion(parts: Sequence[Complex], total: Complex, layout: SumLayout, i
     p = parts[index]
     comps = {}
     for n, k in p.dims.items():
-        off = layout.offset(index, n)
-        m = [[ONE if (i - off) == j and 0 <= i - off < k else ZERO for j in range(k)] for i in range(total.dim(n))]
-        comps[n] = Matrix(total.dim(n), k, m)
+        comps[n] = assemble(total.dim(n), k, [(layout.offset(index, n), 0, Matrix.identity(k))])
     return ChainMap(p, total, comps, check=False)
 
 
@@ -362,9 +350,7 @@ def sum_projection(parts: Sequence[Complex], total: Complex, layout: SumLayout, 
     p = parts[index]
     comps = {}
     for n, k in p.dims.items():
-        off = layout.offset(index, n)
-        m = [[ONE if (j - off) == i and 0 <= j - off < k else ZERO for j in range(total.dim(n))] for i in range(k)]
-        comps[n] = Matrix(k, total.dim(n), m)
+        comps[n] = assemble(k, total.dim(n), [(0, layout.offset(index, n), Matrix.identity(k))])
     return ChainMap(total, p, comps, check=False)
 
 

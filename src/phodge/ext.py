@@ -33,7 +33,7 @@ from .complexes import (
     tensor,
 )
 from .errors import PreconditionError, ValidationError
-from .linalg import Matrix, assemble, kron, restrict_map, vstack
+from .linalg import Matrix, Subspace, assemble, kron, vstack
 from .phc import PHodgeComplex, PHodgeMap, is_quasi_iso_phc, is_unit_like
 
 ZERO = Fraction(0)
@@ -41,13 +41,19 @@ ONE = Fraction(1)
 
 
 class FilteredHom:
-    """The subcomplex of Hom(M_dR, M'_dR) of maps preserving every level."""
+    """The subcomplex of Hom(M_dR, M'_dR) of maps preserving every level.
+
+    bases[n] is the degree-n subspace of the full Hom complex.  Its basis is
+    block diagonal over the Hom slots, each block a kernel basis (or an
+    identity), so every column has a unit row and the basis is kept as built
+    (canonical=True).
+    """
 
     __slots__ = ("full", "complex", "bases")
 
     def __init__(self, src, tgt):
         full = hom_complex(src.carrier, tgt.carrier)
-        bases: Dict[int, Matrix] = {}
+        bases: Dict[int, Subspace] = {}
         dims: Dict[int, int] = {}
         for n in full.complex.dims:
             blocks = []
@@ -69,12 +75,15 @@ class FilteredHom:
                 blocks.append((off, cols, kernel))
                 cols += kernel.cols
             if cols:
-                bases[n] = assemble(full.complex.dim(n), cols, blocks)
+                basis = assemble(full.complex.dim(n), cols, blocks)
+                bases[n] = Subspace(full.complex.dim(n), basis, canonical=True)
                 dims[n] = cols
         d = {}
         for n in dims:
             if dims.get(n + 1, 0):
-                d[n] = restrict_map(full.complex.diff(n), bases[n], bases[n + 1])
+                d[n] = bases[n + 1].coords_matrix(full.complex.diff(n) * bases[n].basis)
+                if d[n] is None:
+                    raise ValidationError(f"Hom differential at degree {n} does not preserve the filtration")
         object.__setattr__(self, "full", full)
         object.__setattr__(self, "complex", Complex(dims, d, check=False))
         object.__setattr__(self, "bases", bases)
@@ -83,7 +92,8 @@ class FilteredHom:
         raise AttributeError("FilteredHom is immutable")
 
     def inclusion(self) -> ChainMap:
-        return ChainMap(self.complex, self.full.complex, dict(self.bases), check=False)
+        comps = {n: space.basis for n, space in self.bases.items()}
+        return ChainMap(self.complex, self.full.complex, comps, check=False)
 
 
 class ExtComplex:
@@ -225,13 +235,13 @@ def induced_map(e_src: ExtComplex, g: PHodgeMap, e_tgt: ExtComplex, *, contravar
     full_dd = node("h_dd", g.f_dr)
     ff_comps = {}
     for n, src_b in e_src.h_ff.bases.items():
-        img = full_dd.component(n) * src_b
+        img = full_dd.component(n) * src_b.basis
         tgt_b = e_tgt.h_ff.bases.get(n)
         if tgt_b is None:
             if not img.is_zero():
                 raise ValidationError("filtration-compatible maps are not preserved")
             continue
-        sol = tgt_b.solve_matrix(img)
+        sol = tgt_b.coords_matrix(img)
         if sol is None:
             raise ValidationError("the induced map leaves the filtration-compatible subcomplex")
         ff_comps[n] = sol
@@ -333,7 +343,7 @@ def _slice0(e: ExtComplex, n: int, vec: Sequence):
     csize = e.h_ff.complex.dim(n)
     xc = tuple(vec[o_c : o_c + csize])
     if csize:
-        xdr = e.h_ff.bases[n].apply(xc)
+        xdr = e.h_ff.bases[n].basis.apply(xc)
     else:
         xdr = tuple([ZERO] * e.second.dr.carrier.dim(n))
     return x0, xk, xdr
@@ -361,10 +371,10 @@ def _bullet(e_m, a, u0, e_m2, b, v0, e_t, t_rig, t_k, t_dr) -> Tuple:
             out[o_b + pos] += val
     if any(x != 0 for x in xdr) and any(y != 0 for y in ydr) and t_dr.complex.dim(n):
         amb = t_dr.pure_tensor(a, xdr, b, ydr)
-        basis = e_t.h_ff.bases.get(n)
-        if basis is None:
+        space = e_t.h_ff.bases.get(n)
+        if space is None:
             raise ValidationError("tensor of filtered elements escapes the compatible subcomplex")
-        coords = basis.solve(amb)
+        coords = space.coords_of(amb)
         if coords is None:
             raise ValidationError("tensor of filtered elements escapes the compatible subcomplex")
         for pos, val in enumerate(coords):

@@ -11,14 +11,11 @@ level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .complexes import ChainMap, Complex
 from .errors import ValidationError
-from .linalg import Matrix, Subspace, restrict_map
-
-ONE = Fraction(1)
+from .linalg import Matrix, Subspace
 
 
 class Filtration:
@@ -105,12 +102,10 @@ class FilteredComplex:
                 d = carrier.diff(n)
                 for level in filtration.jump_levels(n):
                     src = filtration.at(n, level)
-                    tgt = filtration.at(n + 1, level)
-                    for j in range(src.dim):
-                        if not tgt.contains(d.apply(src.basis.col_tuple(j))):
-                            raise ValidationError(
-                                f"differential at degree {n} does not preserve filtration level {level}"
-                            )
+                    if filtration.at(n + 1, level).coords_matrix(d * src.basis) is None:
+                        raise ValidationError(
+                            f"differential at degree {n} does not preserve filtration level {level}"
+                        )
 
     def __setattr__(self, *a):
         raise AttributeError("FilteredComplex is immutable")
@@ -141,27 +136,26 @@ class FilteredMap:
             levels = set(self.source.filtration.jump_levels(n)) | set(self.target.filtration.jump_levels(n))
             for level in levels:
                 src = self.source.level(n, level)
-                tgt = self.target.level(n, level)
-                for j in range(src.dim):
-                    if not tgt.contains(f.apply(src.basis.col_tuple(j))):
-                        raise ValidationError(f"map does not preserve filtration level {level} at degree {n}")
+                if self.target.level(n, level).coords_matrix(f * src.basis) is None:
+                    raise ValidationError(f"map does not preserve filtration level {level} at degree {n}")
 
 
 def level_subcomplex(fc: FilteredComplex, i: int) -> Tuple[Complex, ChainMap]:
     """The subcomplex F^i in its own coordinates, with the inclusion."""
-    dims = {}
-    bases = {}
+    levels = {}
     for n in fc.carrier.dims:
         s = fc.level(n, i)
         if s.dim:
-            dims[n] = s.dim
-            bases[n] = s.basis
+            levels[n] = s
     d = {}
-    for n in dims:
-        if dims.get(n + 1, 0):
-            d[n] = restrict_map(fc.carrier.diff(n), bases[n], bases[n + 1])
-    sub = Complex(dims, d, check=False)
-    incl = ChainMap(sub, fc.carrier, {n: bases[n] for n in dims}, check=False)
+    for n, s in levels.items():
+        if n + 1 in levels:
+            coords = levels[n + 1].coords_matrix(fc.carrier.diff(n) * s.basis)
+            if coords is None:
+                raise ValidationError(f"differential at degree {n} leaves filtration level {i}")
+            d[n] = coords
+    sub = Complex({n: s.dim for n, s in levels.items()}, d, check=False)
+    incl = ChainMap(sub, fc.carrier, {n: s.basis for n, s in levels.items()}, check=False)
     return sub, incl
 
 
@@ -188,8 +182,7 @@ class GradedPiece:
             if dims.get(n + 1, 0):
                 big, proj, lift = bases[n]
                 bign, projn, _ = bases[n + 1]
-                img = fc.carrier.diff(n) * lift
-                coords = bign.basis.solve_matrix(img)
+                coords = bign.coords_matrix(fc.carrier.diff(n) * lift)
                 if coords is None:
                     raise ValidationError("graded differential leaves the filtration level")
                 d[n] = projn * coords
@@ -200,27 +193,17 @@ class GradedPiece:
     def __setattr__(self, *a):
         raise AttributeError("GradedPiece is immutable")
 
-    def project(self, n: int, vec) -> Tuple:
-        """Carrier vector (inside F^i) to gr coordinates."""
-        big, proj, _ = self._bases[n]
-        coords = big.coords_of(vec)
-        if coords is None:
-            raise ValidationError("vector is not in the filtration level")
-        return proj.apply(coords)
-
     def induced_map(self, other: "GradedPiece", f: ChainMap, n: int) -> Matrix:
         if n not in self._bases:
             return Matrix.zeros(other.complex.dim(n), 0)
-        big, proj, lift = self._bases[n]
-        cols = []
-        for j in range(lift.cols):
-            v = f.component(n).apply(lift.col_tuple(j))
-            if n in other._bases:
-                cols.append(other.project(n, v))
-            else:
-                cols.append(())
-        rows = other.complex.dim(n)
-        return Matrix(rows, len(cols), list(map(list, zip(*cols))) if cols and rows else [[] for _ in range(rows)])
+        lift = self._bases[n][2]
+        if n not in other._bases:
+            return Matrix.zeros(0, lift.cols)
+        big, proj, _ = other._bases[n]
+        coords = big.coords_matrix(f.component(n) * lift)
+        if coords is None:
+            raise ValidationError("vector is not in the filtration level")
+        return proj * coords
 
 
 def graded(fc: FilteredComplex) -> Dict[int, GradedPiece]:
@@ -239,9 +222,7 @@ def is_strict_map(fm: FilteredMap) -> bool:
         image = Subspace.from_matrix(f)
         levels = set(fm.source.filtration.jump_levels(n)) | set(fm.target.filtration.jump_levels(n))
         for level in levels:
-            src = fm.source.level(n, level)
-            lhs_vectors = [f.apply(src.basis.col_tuple(j)) for j in range(src.dim)]
-            lhs = Subspace.from_vectors(lhs_vectors, f.rows)
+            lhs = Subspace(f.rows, f * fm.source.level(n, level).basis)
             rhs = fm.target.level(n, level).intersect(image)
             if lhs.dim != rhs.dim or not rhs.contains_subspace(lhs):
                 return False
@@ -321,14 +302,15 @@ def filtered_truncate(fc: FilteredComplex, n: int, side: str) -> FilteredComplex
         if ker.dim:
             dims[n] = ker.dim
             if c.dim(n - 1):
-                d[n - 1] = restrict_map(c.diff(n - 1), Matrix.identity(c.dim(n - 1)), ker.basis)
+                d[n - 1] = ker.coords_matrix(c.diff(n - 1))
+                if d[n - 1] is None:
+                    raise ValidationError(f"d∘d != 0 between degrees {n - 1} and {n + 1}")
             entry = []
             for level in fc.filtration.jump_levels(n):
                 inter = fc.level(n, level).intersect(ker)
                 if inter.dim:
-                    coords = [ker.coords_of(inter.basis.col_tuple(j)) for j in range(inter.dim)]
-                    entry.append((level, Subspace.from_vectors(coords, ker.dim)))
-            recs[n] = _dedup_records(entry, ker.dim)
+                    entry.append((level, Subspace(ker.dim, ker.coords_matrix(inter.basis))))
+            recs[n] = jump_records(entry, ker.dim)
         return FilteredComplex(Complex(dims, d, check=False), Filtration(dims, recs), check=False)
     if side == "ge":
         dims = {}
@@ -344,21 +326,22 @@ def filtered_truncate(fc: FilteredComplex, n: int, side: str) -> FilteredComplex
         if img.dim:
             dims[n - 1] = img.dim
             d[n - 1] = img.basis  # inclusion into degree n
+            # d^{n-1} in image coordinates; it carries each level onto its image
+            onto = img.coords_matrix(c.diff(n - 1))
             entry = []
             for level in fc.filtration.jump_levels(n - 1):
-                src = fc.level(n - 1, level)
-                vecs = [c.diff(n - 1).apply(src.basis.col_tuple(j)) for j in range(src.dim)]
-                coords = [img.coords_of(v) for v in vecs]
-                sub = Subspace.from_vectors([x for x in coords if x is not None], img.dim)
+                sub = Subspace(img.dim, onto * fc.level(n - 1, level).basis)
                 if sub.dim:
                     entry.append((level, sub))
-            recs[n - 1] = _dedup_records(entry, img.dim)
+            recs[n - 1] = jump_records(entry, img.dim)
         return FilteredComplex(Complex(dims, d, check=False), Filtration(dims, recs), check=False)
     raise ValidationError("side must be 'le' or 'ge'")
 
 
-def _dedup_records(entry: List[Tuple[int, Subspace]], dim: int) -> List[Tuple[int, Subspace]]:
-    """Keep true jumps only, restoring exhaustiveness at the lowest level."""
+def jump_records(entry: List[Tuple[int, Subspace]], dim: int) -> List[Tuple[int, Subspace]]:
+    """The filtration records of (level, F^level) pairs with F descending:
+    true jumps only, each kept at its highest level, with exhaustiveness
+    restored at the lowest level."""
     entry = sorted(entry, key=lambda t: t[0])
     if not entry or entry[0][1].dim != dim:
         lowest = entry[0][0] - 1 if entry else 0

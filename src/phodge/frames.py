@@ -9,21 +9,29 @@ the usual arithmetic operators and slot into the generic linear algebra.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
 
+# an optional sign, ASCII digits and an optional "/digits" denominator; no
+# spaces, decimal points, exponents or underscores, which Fraction would read
+_RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
 
 def parse_rational(data, where: str) -> Fraction:
     """An exact rational from JSON: an integer or a string such as "-3/4".
 
     Floats and booleans are rejected, so no inexact or accidental value ever
-    becomes a scalar.
+    becomes a scalar.  Strings must be "num" or "num/den" in ASCII digits: an
+    exponent such as "1e999999999" would otherwise build a huge integer.
     """
     if isinstance(data, bool) or not isinstance(data, (int, str)):
         raise ValidationError(f"{where}: {type(data).__name__} scalar {data!r} rejected; write exact scalars as strings like \"3/4\"")
+    if isinstance(data, str) and not _RATIONAL_STRING.fullmatch(data):
+        raise ValidationError(f"{where}: scalar string {data!r} rejected; write exact scalars as strings like \"3/4\"")
     try:
         return Fraction(data)
     except (ValueError, ZeroDivisionError):

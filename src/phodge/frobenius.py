@@ -79,8 +79,7 @@ class FrobeniusComplex:
     def induced_on_cohomology(self, n: int) -> Matrix:
         """Matrix of the induced action on chosen H^n representatives."""
         h = self.complex.cohomology(n)
-        cols = [h.project(self.apply(n, h.representatives.col_tuple(j))) for j in range(h.dim)]
-        return Matrix(h.dim, h.dim, list(map(list, zip(*cols))) if cols else [])
+        return h.class_matrix(self.phi_at(n) * sigma_matrix(self.frame, h.representatives))
 
     def eigenvalue_report(self, n: int) -> Dict[str, object]:
         """Exact eigenvalue data for the induced action; rational roots only

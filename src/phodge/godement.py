@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import ChainMap, Complex
 from .errors import PreconditionError, ValidationError
@@ -110,7 +110,7 @@ class FiniteSite:
 class Sheaf:
     """Functor on the poset: a space per element, a map per related pair."""
 
-    __slots__ = ("site", "values", "maps")
+    __slots__ = ("site", "values", "maps", "_t")
 
     def __init__(self, site: FiniteSite, values: Dict[str, int], maps: Dict[Tuple[str, str], Matrix], *, check: bool = True):
         vals = {x: int(values.get(x, 0)) for x in site.elements}
@@ -149,6 +149,7 @@ class Sheaf:
         object.__setattr__(self, "site", site)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "maps", full)
+        object.__setattr__(self, "_t", None)
         if check:
             for a, b in pairs:
                 for m_ in site.elements:
@@ -230,8 +231,8 @@ class SheafMap:
         comps = {x: self.component(x) + other.component(x) for x in self.source.site.elements}
         return SheafMap(self.source, self.target, comps, check=False)
 
-    def scale(self, s) -> "SheafMap":
-        return SheafMap(self.source, self.target, {x: m.scale(s) for x, m in self.components.items()}, check=False)
+    def __neg__(self) -> "SheafMap":
+        return SheafMap(self.source, self.target, {x: -m for x, m in self.components.items()}, check=False)
 
 
 def identity_map(f: Sheaf) -> SheafMap:
@@ -274,17 +275,12 @@ def _point_offsets(site: FiniteSite, family: Dict[str, int], x: str) -> Dict[str
     return out
 
 
-_T_CACHE: Dict[int, Tuple[Sheaf, Sheaf]] = {}
-
-
 def t_sheaf(f: Sheaf) -> Sheaf:
-    """T = u_* u^* (memoized per sheaf object)."""
-    hit = _T_CACHE.get(id(f))
-    if hit is not None and hit[0] is f:
-        return hit[1]
-    out = pushforward_from_points(f.site, stalk_family(f))
-    _T_CACHE[id(f)] = (f, out)
-    return out
+    """T = u_* u^*, memoized on the sheaf itself so that the memo is freed
+    with the sheaf."""
+    if f._t is None:
+        object.__setattr__(f, "_t", pushforward_from_points(f.site, stalk_family(f)))
+    return f._t
 
 
 def t_map(g: SheafMap) -> SheafMap:
@@ -342,8 +338,7 @@ def counit_components(f: Sheaf) -> Dict[str, Matrix]:
     for p in site.points:
         offs = _point_offsets(site, fam, p)
         off, k = offs[p]
-        rows = [[ONE if j == off + i else ZERO for j in range(tf.dim(p))] for i in range(k)]
-        out[p] = Matrix(k, tf.dim(p), rows)
+        out[p] = assemble(k, tf.dim(p), [(0, off, Matrix.identity(k))])
     return out
 
 
@@ -399,7 +394,7 @@ class BarResolution:
             for i in range(n + 2):
                 term = self.cofaces[(n + 1, i)]
                 if i % 2 == 1:
-                    term = term.scale(-ONE)
+                    term = -term
                 d = term if d is None else d.add(term)
             self.differentials[n] = d
 
@@ -511,23 +506,11 @@ def _compatible_families(f: Sheaf, edges, offs: Dict[str, Tuple[int, int]], tota
 
 
 def sections_map(g: SheafMap, src: Subspace, src_offs, tgt: Subspace, tgt_offs) -> Matrix:
-    site = g.source.site
-    image_cols = []
-    for j in range(src.dim):
-        vec = src.basis.col_tuple(j)
-        out = [ZERO] * tgt.ambient_dim
-        for x in site.elements:
-            soff, sdim = src_offs[x]
-            toff, tdim = tgt_offs[x]
-            piece = g.component(x).apply(vec[soff : soff + sdim])
-            for t, v in enumerate(piece):
-                out[toff + t] = v
-        image_cols.append(out)
-    image = Matrix(
-        tgt.ambient_dim, src.dim,
-        list(map(list, zip(*image_cols))) if image_cols else [[] for _ in range(tgt.ambient_dim)],
-    )
-    coords = tgt.basis.solve_matrix(image)
+    """g on families: its components placed block-diagonally at the offsets
+    (every element of tgt_offs reads its own block of the source family),
+    applied to the source basis, then read in the target basis."""
+    blocks = [(toff, src_offs[x][0], g.component(x)) for x, (toff, _) in tgt_offs.items()]
+    coords = tgt.coords_matrix(assemble(tgt.ambient_dim, src.ambient_dim, blocks) * src.basis)
     if coords is None:
         raise ValidationError("section image is not a section")
     return coords
@@ -634,9 +617,8 @@ def gd2_cohomology(f: Sheaf, length: Optional[int] = None, max_degree: Optional[
         outer = columns[b]
         if (b, a + 1) in secs and outer.differential(a) is not None:
             m = sections_map(outer.differential(a), s[0], s[1], secs[(b, a + 1)][0], secs[(b, a + 1)][1])
-            sign = ONE if b % 2 == 0 else -ONE
             if not m.is_zero():
-                dv[(b, a)] = m.scale(sign)
+                dv[(b, a)] = m if b % 2 == 0 else -m
     dc = DoubleComplex(spaces, dh, dv)
     total, _ = total_complex(dc)
     return {q: total.cohomology(q).dim for q in range(0, max_degree + 1)}
@@ -698,53 +680,20 @@ class Pushforward:
             space = _compatible_families(f, edges, offs, total)
             bases[y] = (space, offs)
             values[y] = space.dim
+        # restriction along y1 <= y2 keeps the components over the smaller fiber
+        ident = identity_map(f)
         maps = {}
         for (y1, y2) in tgt.leq:
             if y1 == y2 or not values[y1] or not values[y2]:
                 continue
-            s1, o1 = bases[y1]
-            s2, o2 = bases[y2]
-            cols = []
-            for j in range(s1.dim):
-                vec = s1.basis.col_tuple(j)
-                out = [ZERO] * s2.ambient_dim
-                for x, (off, k) in o2.items():
-                    soff, sk = o1[x]
-                    for t in range(k):
-                        out[off + t] = vec[soff + t]
-                coords = s2.coords_of(out)
-                if coords is None:
-                    raise ValidationError("pushforward restriction failed")
-                cols.append(coords)
-            maps[(y1, y2)] = Matrix(
-                s2.dim, s1.dim, list(map(list, zip(*cols))) if cols and s2.dim else [[] for _ in range(s2.dim)]
-            )
+            maps[(y1, y2)] = sections_map(ident, *bases[y1], *bases[y2])
         self.sheaf = Sheaf(tgt, values, maps, check=False)
         self.bases = bases
 
     def of_map(self, g: SheafMap, other: "Pushforward") -> SheafMap:
         """f_* applied to g: F -> F' (other = pushforward of F')."""
         tgt = self.site_map.target
-        comps = {}
-        for y in tgt.elements:
-            s1, o1 = self.bases[y]
-            s2, o2 = other.bases[y]
-            cols = []
-            for j in range(s1.dim):
-                vec = s1.basis.col_tuple(j)
-                out = [ZERO] * s2.ambient_dim
-                for x, (off, k) in o2.items():
-                    soff, sk = o1[x]
-                    piece = g.component(x).apply(vec[soff : soff + sk])
-                    for t, v in enumerate(piece):
-                        out[off + t] = v
-                coords = s2.coords_of(out)
-                if coords is None:
-                    raise ValidationError("pushforward of a sheaf map failed")
-                cols.append(coords)
-            comps[y] = Matrix(
-                s2.dim, s1.dim, list(map(list, zip(*cols))) if cols and s2.dim else [[] for _ in range(s2.dim)]
-            )
+        comps = {y: sections_map(g, *self.bases[y], *other.bases[y]) for y in tgt.elements}
         return SheafMap(self.sheaf, other.sheaf, comps)
 
 
@@ -974,8 +923,7 @@ def gd_tensor(f: Sheaf, g: Sheaf, length: Optional[int] = None) -> TensorCompatR
             t2 = phis[(a, b + 1)].compose(
                 tensor_sheaf_map(identity_map(towers_f[a + 1]), bar_g.differentials[b])
             )
-            sign = ONE if a % 2 == 0 else -ONE
-            rhs = t1.add(t2.scale(sign))
+            rhs = t1.add(t2 if a % 2 == 0 else -t2)
             if not _same_map(lhs, rhs):
                 chain_ok = False
     aug = phis[(0, 0)].compose(tensor_sheaf_map(bar_f.augmentation, bar_g.augmentation))
@@ -1034,13 +982,12 @@ def gd_tensor(f: Sheaf, g: Sheaf, length: Optional[int] = None) -> TensorCompatR
             if not m.is_zero():
                 dh[(a, b)] = m
         if (a, b + 1) in secs_grid:
-            sign = ONE if a % 2 == 0 else -ONE
             m = sections_map(
                 tensor_sheaf_map(identity_map(towers_f[a + 1]), bar_g.differentials[b]),
                 s[0], s[1], secs_grid[(a, b + 1)][0], secs_grid[(a, b + 1)][1],
-            ).scale(sign)
+            )
             if not m.is_zero():
-                dv[(a, b)] = m
+                dv[(a, b)] = m if a % 2 == 0 else -m
     dc = DoubleComplex(spaces, dh, dv)
     total, _ = total_complex(dc)
     left = {q: total.cohomology(q).dim for q in range(0, site.height + 1)}

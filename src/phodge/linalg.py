@@ -15,10 +15,15 @@ Two kernels produce the same RREF:
 - Any other entries (extension scalars) go through a generic loop on the
   entries' own field arithmetic.
 
-A ``Subspace`` basis is the transpose of an RREF with unit pivots, and the
-subspace keeps the pivot row of each basis column.  The coordinates of a
-vector are therefore its entries at those rows; one product with the basis
-checks membership.  No elimination is needed per vector.
+A ``Subspace`` keeps, for each basis column k, a pivot row equal to e_k^T:
+the basis is either the transpose of an RREF with unit pivots, or a basis
+given with ``canonical=True`` that has such a unit row for every column (a
+transposed RREF, or a kernel basis with its unit rows at the free columns).
+The coordinates of vectors are therefore their entries at the pivot rows,
+and one product with the basis checks membership.  ``coords_matrix`` is the
+one coordinate primitive: every map between subspaces is the image of the
+source basis (one product) followed by ``coords_matrix`` on the target, with
+no elimination.
 
 Every block matrix in the package (direct sums, cones, tensor and Hom
 differentials, maps between them) is built by ``assemble``, which writes the
@@ -143,6 +148,12 @@ class Matrix:
         return Matrix(len(rows), cols, rows)
 
     @staticmethod
+    def from_columns(rows: int, columns: Sequence[Sequence]) -> "Matrix":
+        """The rows x len(columns) matrix whose columns are the given vectors."""
+        columns = list(columns)
+        return Matrix(rows, len(columns), list(zip(*columns)) if columns else [()] * rows)
+
+    @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, [[ZERO] * cols for _ in range(rows)])
 
@@ -254,7 +265,7 @@ class Matrix:
             for k, c in enumerate(pivots):
                 v[c] = -red.entries[k][f]
             cols.append(v)
-        return Matrix(self.cols, len(cols), list(map(list, zip(*cols))) if cols else [[] for _ in range(self.cols)])
+        return Matrix.from_columns(self.cols, cols)
 
     def solve(self, vec: Sequence) -> Optional[Tuple]:
         """One exact solution of self * x = vec, or None if vec is not in the image."""
@@ -432,10 +443,12 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 class Subspace:
-    """A subspace of K^n given by a canonical (column-reduced) basis matrix.
+    """A subspace of K^n given by a basis matrix with a unit row per column.
 
-    The basis is the transpose of an RREF with unit pivots; ``_pivot_rows``
-    holds the pivot row of each basis column.
+    ``_pivot_rows`` holds, for each basis column k, a row of the basis equal
+    to e_k^T.  By default the basis is made canonical (the transpose of an
+    RREF with unit pivots); with ``canonical=True`` the basis is kept as given
+    and the first row equal to e_k^T is column k's pivot row.
     """
 
     __slots__ = ("ambient_dim", "basis", "_pivot_rows")
@@ -444,10 +457,14 @@ class Subspace:
         if basis.rows != ambient_dim:
             raise ValidationError("subspace basis has wrong ambient dimension")
         if canonical:
-            ents = basis.entries
-            pivots = tuple(next((i for i in range(ambient_dim) if ents[i][k] != 0), None) for k in range(basis.cols))
+            found = {}
+            for i, row in enumerate(basis.entries):
+                support = [k for k, x in enumerate(row) if x != 0]
+                if len(support) == 1 and row[support[0]] == 1:
+                    found.setdefault(support[0], i)
+            pivots = tuple(found.get(k) for k in range(basis.cols))
             if None in pivots:
-                raise ValidationError("canonical subspace basis has a zero column")
+                raise ValidationError("canonical subspace basis has a column without a unit row")
         else:
             red, pivots = basis.transpose().rref()
             rows = [red.entries[k] for k in range(len(pivots))]
@@ -465,9 +482,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(vectors: Sequence[Sequence], ambient_dim: int) -> "Subspace":
-        cols = [list(v) for v in vectors]
-        m = Matrix(ambient_dim, len(cols), list(map(list, zip(*cols))) if cols else [[] for _ in range(ambient_dim)])
-        return Subspace(ambient_dim, m)
+        return Subspace(ambient_dim, Matrix.from_columns(ambient_dim, vectors))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -493,31 +508,28 @@ class Subspace:
         return hash((self.ambient_dim, self.dim))
 
     def coords_of(self, vec: Sequence) -> Optional[Tuple]:
-        """Coordinates of vec in the basis, or None if vec is not in the subspace.
+        """Coordinates of vec in the basis, or None if vec is not in the subspace."""
+        x = self.coords_matrix(Matrix.column(vec))
+        return None if x is None else x.col_tuple(0)
 
-        The basis has unit pivots, so the coordinates are vec's entries at the
-        pivot rows; basis * x == vec checks membership.
+    def coords_matrix(self, m: Matrix) -> Optional[Matrix]:
+        """Coordinates of every column of m in the basis, or None if some
+        column is not in the subspace.
+
+        The coordinates are m's rows at the pivot rows; basis * X == m checks
+        all columns with one product.
         """
-        vec = [Fraction(v) if isinstance(v, int) else v for v in vec]
-        if len(vec) != self.ambient_dim:
-            raise ValidationError("coords_of: vector length mismatch")
-        x = tuple(vec[i] for i in self._pivot_rows)
-        support = [(k, y) for k, y in enumerate(x) if y != 0]
-        for row, v in zip(self.basis.entries, vec):
-            acc = ZERO
-            for k, y in support:
-                b = row[k]
-                if b != 0:
-                    acc = acc + b * y
-            if acc != v:
-                return None
-        return x
+        if m.rows != self.ambient_dim:
+            raise ValidationError("coords_matrix: row count mismatch")
+        ents = m.entries
+        x = Matrix(self.dim, m.cols, [ents[i] for i in self._pivot_rows])
+        return x if self.basis * x == m else None
 
     def contains(self, vec: Sequence) -> bool:
         return self.coords_of(vec) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis.col_tuple(j)) for j in range(other.dim))
+        return self.coords_matrix(other.basis) is not None
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -529,13 +541,9 @@ class Subspace:
             raise ValidationError("subspace intersection: ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        stacked = hstack([self.basis, -other.basis])
-        ker = stacked.kernel_basis()
-        cols = []
-        for j in range(ker.cols):
-            x = [ker.entries[i][j] for i in range(self.dim)]
-            cols.append(self.basis.apply(x))
-        return Subspace.from_vectors(cols, self.ambient_dim)
+        ker = hstack([self.basis, -other.basis]).kernel_basis()
+        # the kernel's first dim rows are coordinates in self's basis
+        return Subspace(self.ambient_dim, self.basis * Matrix(self.dim, ker.cols, ker.entries[: self.dim]))
 
     def quotient(self) -> Tuple[Matrix, Matrix]:
         """(projection, section) for K^n -> K^n / self.
@@ -568,14 +576,10 @@ class Subspace:
         coordinates, sect is a right inverse, lift = basis * sect gives
         ambient representatives of the quotient basis.
         """
-        coords = []
-        for j in range(sub.dim):
-            x = self.coords_of(sub.basis.col_tuple(j))
-            if x is None:
-                raise ValidationError("quotient_by: not a subspace")
-            coords.append(x)
-        inner = Subspace.from_vectors(coords, self.dim)
-        proj, sect = inner.quotient()
+        coords = self.coords_matrix(sub.basis)
+        if coords is None:
+            raise ValidationError("quotient_by: not a subspace")
+        proj, sect = Subspace(self.dim, coords).quotient()
         return proj, sect, self.basis * sect
 
     def __repr__(self):
@@ -588,15 +592,3 @@ def rank_decomposition(m: Matrix) -> Tuple[Subspace, Subspace, Tuple[int, ...]]:
     kernel = Subspace(m.cols, m.kernel_basis())
     image = Subspace.from_vectors([m.col_tuple(c) for c in pivots], m.rows)
     return kernel, image, pivots
-
-
-def restrict_map(f: Matrix, source_basis: Matrix, target_basis: Matrix) -> Matrix:
-    """Matrix of f between subspaces in the given basis coordinates.
-
-    Requires f(source) <= target; raises otherwise.
-    """
-    img = f * source_basis
-    sol = target_basis.solve_matrix(img)
-    if sol is None:
-        raise ValidationError("restrict_map: image leaves the target subspace")
-    return sol

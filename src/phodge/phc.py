@@ -28,12 +28,10 @@ from .complexes import (
     tensor_map,
 )
 from .errors import PreconditionError, ValidationError
-from .filtered import FilteredComplex, FilteredMap, Filtration, is_filtered_quasi_iso, filtered_truncate
+from .filtered import FilteredComplex, FilteredMap, Filtration, filtered_truncate, is_filtered_quasi_iso, jump_records
 from .frames import CoefficientFrame
 from .frobenius import FrobeniusComplex, sigma_matrix, twist_frobenius
-from .linalg import Matrix, Subspace, assemble, hstack, kron, restrict_map, vstack
-
-ONE = Fraction(1)
+from .linalg import Matrix, Subspace, assemble, hstack, kron, vstack
 
 
 class PHodgeComplex:
@@ -171,35 +169,20 @@ def _tensor_filtration(a: FilteredComplex, b: FilteredComplex, t: TensorComplex)
                     candidates.add(la + lb)
         entry = []
         for level in sorted(candidates):
-            vectors: List[Tuple] = []
+            # F^level is spanned by F^la (x) F^(level-la) in every block
+            placed = []
+            cols = 0
             for i, j, off in blocks:
-                da, db = a.carrier.dim(i), b.carrier.dim(j)
-                levels_a = sorted(set(a.filtration.jump_levels(i)))
-                for la in levels_a:
-                    lb = level - la
+                for la in a.filtration.jump_levels(i):
                     sa = a.filtration.at(i, la)
-                    sb = b.filtration.at(j, lb)
-                    if sa.dim == 0 or sb.dim == 0:
-                        continue
-                    for x in range(sa.dim):
-                        u = sa.basis.col_tuple(x)
-                        for y in range(sb.dim):
-                            v = sb.basis.col_tuple(y)
-                            vec = [Fraction(0)] * total
-                            kv = [xx * yy for xx in u for yy in v]
-                            for tpos, val in enumerate(kv):
-                                vec[off + tpos] = val
-                            vectors.append(tuple(vec))
-            space = Subspace.from_vectors(vectors, total)
+                    sb = b.filtration.at(j, level - la)
+                    if sa.dim and sb.dim:
+                        placed.append((off, cols, kron(sa.basis, sb.basis)))
+                        cols += sa.dim * sb.dim
+            space = Subspace(total, assemble(total, cols, placed))
             if space.dim:
                 entry.append((level, space))
-        cleaned: List[Tuple[int, Subspace]] = []
-        for level, space in entry:
-            if cleaned and cleaned[-1][1].dim == space.dim:
-                cleaned[-1] = (level, cleaned[-1][1])
-            else:
-                cleaned.append((level, space))
-        records[n] = cleaned
+        records[n] = jump_records(entry, total)
     return Filtration(dims, records)
 
 
@@ -260,26 +243,16 @@ def direct_sum_phc(parts: Sequence[PHodgeComplex]) -> PHodgeComplex:
             levels.update(p.dr.filtration.jump_levels(n))
         entry = []
         for level in sorted(levels):
-            vectors = []
+            placed = []
+            cols = 0
             for idx, p in enumerate(parts):
-                off = dr_layout.offset(idx, n)
                 sp = p.dr.level(n, level)
-                for j in range(sp.dim):
-                    v = [Fraction(0)] * dr_total.dim(n)
-                    col = sp.basis.col_tuple(j)
-                    for t, val in enumerate(col):
-                        v[off + t] = val
-                    vectors.append(tuple(v))
-            space = Subspace.from_vectors(vectors, dr_total.dim(n))
+                placed.append((dr_layout.offset(idx, n), cols, sp.basis))
+                cols += sp.dim
+            space = Subspace(dr_total.dim(n), assemble(dr_total.dim(n), cols, placed))
             if space.dim:
                 entry.append((level, space))
-        cleaned: List[Tuple[int, Subspace]] = []
-        for level, space in entry:
-            if cleaned and cleaned[-1][1].dim == space.dim:
-                cleaned[-1] = (level, cleaned[-1][1])
-            else:
-                cleaned.append((level, space))
-        records[n] = cleaned
+        records[n] = jump_records(entry, dr_total.dim(n))
     dr = FilteredComplex(dr_total, Filtration(dict(dr_total.dims), records), check=False)
     c = sum_map(rig_total, rig_layout, k_total, k_layout, {(i, i): p.c for i, p in enumerate(parts)})
     s = sum_map(dr_total, dr_layout, k_total, k_layout, {(i, i): p.s for i, p in enumerate(parts)})
@@ -303,31 +276,13 @@ def cone_phc(f: PHodgeMap) -> PHodgeComplex:
         levels = set(n.dr.filtration.jump_levels(q)) | set(m.dr.filtration.jump_levels(q + 1))
         entry = []
         for level in sorted(levels):
-            vectors = []
             st = n.dr.level(q, level)
             ss = m.dr.level(q + 1, level)
-            dim_t = n.dr.carrier.dim(q)
-            total = dr_cone.dim(q)
-            for j in range(st.dim):
-                v = [Fraction(0)] * total
-                for t, val in enumerate(st.basis.col_tuple(j)):
-                    v[t] = val
-                vectors.append(tuple(v))
-            for j in range(ss.dim):
-                v = [Fraction(0)] * total
-                for t, val in enumerate(ss.basis.col_tuple(j)):
-                    v[dim_t + t] = val
-                vectors.append(tuple(v))
-            space = Subspace.from_vectors(vectors, total)
+            blocks = [(0, 0, st.basis), (n.dr.carrier.dim(q), st.dim, ss.basis)]
+            space = Subspace(dr_cone.dim(q), assemble(dr_cone.dim(q), st.dim + ss.dim, blocks))
             if space.dim:
                 entry.append((level, space))
-        cleaned: List[Tuple[int, Subspace]] = []
-        for level, space in entry:
-            if cleaned and cleaned[-1][1].dim == space.dim:
-                cleaned[-1] = (level, cleaned[-1][1])
-            else:
-                cleaned.append((level, space))
-        records[q] = cleaned
+        records[q] = jump_records(entry, dr_cone.dim(q))
     dr = FilteredComplex(dr_cone, Filtration(dict(dr_cone.dims), records), check=False)
     c_comps = {}
     s_comps = {}
@@ -350,9 +305,7 @@ def quasi_pushout(f: ChainMap, g: ChainMap) -> Tuple[Complex, ChainMap, ChainMap
     prod, layout = direct_sum([m1, m3])
     comps = {}
     for n in m2.dims:
-        top = f.component(n)
-        bot = g.component(n).scale(-ONE)
-        comps[n] = vstack([top, bot])
+        comps[n] = vstack([f.component(n), -g.component(n)])
     fg = ChainMap(m2, prod, comps, check=False)
     q, incl, _ = cone(fg)
     i1 = sum_inclusion([m1, m3], prod, layout, 0)
@@ -375,7 +328,7 @@ def quasi_pullback(f: ChainMap, g: ChainMap) -> Tuple[Complex, ChainMap, ChainMa
     prod, layout = direct_sum([m1, m3])
     comps = {}
     for n in prod.dims:
-        comps[n] = hstack([f.component(n), g.component(n).scale(-ONE)])
+        comps[n] = hstack([f.component(n), -g.component(n)])
     fg = ChainMap(prod, m2, comps, check=False)
     c, _, proj_shift = cone(fg)
     p = shift(c, -1)
@@ -385,11 +338,7 @@ def quasi_pullback(f: ChainMap, g: ChainMap) -> Tuple[Complex, ChainMap, ChainMa
     comps1 = {}
     comps3 = {}
     for n in p.dims:
-        off = m2.dim(n - 1)
-        total = p.dim(n)
-        sel = Matrix(
-            prod.dim(n), total, [[ONE if j == off + i else Fraction(0) for j in range(total)] for i in range(prod.dim(n))]
-        )
+        sel = assemble(prod.dim(n), p.dim(n), [(0, m2.dim(n - 1), Matrix.identity(prod.dim(n)))])
         comps1[n] = p1.component(n) * sel
         comps3[n] = p3.component(n) * sel
     return p, ChainMap(p, m1, comps1, check=False), ChainMap(p, m3, comps3, check=False)
@@ -478,99 +427,61 @@ def truncate_phc(m: PHodgeComplex, n: int, side: str) -> PHodgeComplex:
     else:
         rig_c, rig_basis = _truncate_ge_model(m.rig.complex, n)
         k_c, k_basis = _truncate_ge_model(m.k, n)
-    phi = {
-        q: _induced_on_model(m.rig.phi_at(q), rig_basis.get(q), rig_basis.get(q), m.rig.complex.dim(q))
-        for q in rig_c.dims
-    }
+    phi = {q: _model_map(m.rig.phi_at(q), rig_basis[q], rig_basis[q]) for q in rig_c.dims}
     rig = FrobeniusComplex(m.frame, rig_c, phi, check=False)
-    c_comps = {}
-    for q in rig_c.dims:
-        c_comps[q] = _induced_between_models(
-            m.c.component(q), rig_basis.get(q), k_basis.get(q), k_c.dim(q)
-        )
-    s_comps = {}
+    c_comps = {q: _model_map(m.c.component(q), rig_basis[q], k_basis.get(q)) for q in rig_c.dims}
     dr_basis = _model_basis_of_truncated(m.dr, dr, side, n)
-    for q in dr.carrier.dims:
-        s_comps[q] = _induced_between_models(
-            m.s.component(q), dr_basis.get(q), k_basis.get(q), k_c.dim(q)
-        )
+    s_comps = {q: _model_map(m.s.component(q), dr_basis[q], k_basis.get(q)) for q in dr.carrier.dims}
     c = ChainMap(rig_c, k_c, c_comps, check=False)
     s = ChainMap(dr.carrier, k_c, s_comps, check=False)
     return PHodgeComplex(m.frame, rig, dr, k_c, c, s, check=False)
 
 
-def _truncate_le_model(c: Complex, n: int) -> Tuple[Complex, Dict[int, Matrix]]:
+def _truncate_le_model(c: Complex, n: int) -> Tuple[Complex, Dict[int, Subspace]]:
     """tau_{<=n}: identity below n, kernel of d^n at n.  Returns the model
-    and per-degree basis matrices into the original spaces."""
-    dims = {}
-    basis = {}
-    d = {}
-    for q in c.dims:
-        if q < n:
-            dims[q] = c.dim(q)
-            basis[q] = Matrix.identity(c.dim(q))
+    and per-degree subspaces of the original spaces."""
+    basis = {q: Subspace.full(c.dim(q)) for q in c.dims if q < n}
     ker = Subspace(c.dim(n), c.diff(n).kernel_basis())
     if ker.dim:
-        dims[n] = ker.dim
-        basis[n] = ker.basis
-    for q in list(dims):
-        if dims.get(q + 1, 0):
-            d[q] = restrict_map(c.diff(q), basis[q], basis[q + 1])
-    return Complex(dims, d, check=False), basis
+        basis[n] = ker
+    d = {q: _model_map(c.diff(q), basis[q], basis[q + 1]) for q in basis if q + 1 in basis}
+    return Complex({q: s.dim for q, s in basis.items()}, d, check=False), basis
 
 
-def _truncate_ge_model(c: Complex, n: int) -> Tuple[Complex, Dict[int, Matrix]]:
+def _truncate_ge_model(c: Complex, n: int) -> Tuple[Complex, Dict[int, Subspace]]:
     """tau_{>=n}: image of d^{n-1} at degree n-1 (the coimage model), identity
     from n on."""
-    dims = {}
     basis = {}
     d = {}
     for q in c.dims:
         if q >= n:
-            dims[q] = c.dim(q)
-            basis[q] = Matrix.identity(c.dim(q))
+            basis[q] = Subspace.full(c.dim(q))
             if c.dim(q + 1):
                 d[q] = c.diff(q)
     img = Subspace.from_matrix(c.diff(n - 1))
     if img.dim:
-        dims[n - 1] = img.dim
-        basis[n - 1] = img.basis
+        basis[n - 1] = img
         d[n - 1] = img.basis
-    return Complex(dims, d, check=False), basis
+    return Complex({q: s.dim for q, s in basis.items()}, d, check=False), basis
 
 
-def _induced_on_model(f: Matrix, src_basis: Optional[Matrix], tgt_basis: Optional[Matrix], ambient: int) -> Matrix:
-    if src_basis is None or tgt_basis is None:
-        return Matrix.zeros(0 if tgt_basis is None else tgt_basis.cols, 0 if src_basis is None else src_basis.cols)
-    sol = tgt_basis.solve_matrix(f * src_basis)
-    if sol is None:
-        raise ValidationError("truncation: structure map leaves the truncated model")
-    return sol
+def _model_map(f: Matrix, src: Subspace, tgt: Optional[Subspace]) -> Matrix:
+    """f between two truncated models, in their basis coordinates; a missing
+    target is the zero space."""
+    if tgt is None:
+        return Matrix.zeros(0, src.dim)
+    coords = tgt.coords_matrix(f * src.basis)
+    if coords is None:
+        raise ValidationError("truncation: a structure map leaves the truncated model")
+    return coords
 
 
-def _induced_between_models(f: Matrix, src_basis: Optional[Matrix], tgt_basis: Optional[Matrix], tgt_dim: int) -> Matrix:
-    if src_basis is None:
-        return Matrix.zeros(tgt_dim, 0)
-    if tgt_basis is None:
-        return Matrix.zeros(0, src_basis.cols)
-    sol = tgt_basis.solve_matrix(f * src_basis)
-    if sol is None:
-        raise ValidationError("truncation: comparison map leaves the truncated model")
-    return sol
-
-
-def _model_basis_of_truncated(orig: FilteredComplex, trunc: FilteredComplex, side: str, n: int) -> Dict[int, Matrix]:
+def _model_basis_of_truncated(orig: FilteredComplex, trunc: FilteredComplex, side: str, n: int) -> Dict[int, Subspace]:
     basis = {}
     c = orig.carrier
     for q in trunc.carrier.dims:
         if side == "le":
-            if q < n:
-                basis[q] = Matrix.identity(c.dim(q))
-            else:
-                basis[q] = Subspace(c.dim(n), c.diff(n).kernel_basis()).basis
+            basis[q] = Subspace.full(c.dim(q)) if q < n else Subspace(c.dim(n), c.diff(n).kernel_basis())
         else:
-            if q >= n:
-                basis[q] = Matrix.identity(c.dim(q))
-            else:
-                basis[q] = Subspace.from_matrix(c.diff(n - 1)).basis
+            basis[q] = Subspace.full(c.dim(q)) if q >= n else Subspace.from_matrix(c.diff(n - 1))
     return basis

@@ -19,9 +19,6 @@ from .errors import ValidationError
 from .filtered import FilteredComplex
 from .linalg import Matrix, Subspace, assemble
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 class DoubleComplex:
     """Bigraded spaces with anticommuting horizontal and vertical differentials."""
@@ -157,15 +154,10 @@ def _column_filtration(dc: DoubleComplex, total: Complex, layout: TotalLayout) -
     p_min, p_max = dc.p_range()
 
     def level_at(n: int, p: int) -> Subspace:
+        # blocks run by ascending p, so the blocks with p' >= p fill the trailing coordinates
         dim = total.dim(n)
-        vectors = []
-        for bp, bq, off, k in layout.blocks.get(n, ()):
-            if bp >= p:
-                for t in range(k):
-                    v = [ZERO] * dim
-                    v[off + t] = ONE
-                    vectors.append(tuple(v))
-        return Subspace.from_vectors(vectors, dim)
+        start = next((off for bp, bq, off, k in layout.blocks.get(n, ()) if bp >= p), dim)
+        return Subspace(dim, assemble(dim, dim - start, [(start, 0, Matrix.identity(dim - start))]), canonical=True)
 
     return _FiltrationData(total, level_at, p_min, p_max)
 
@@ -211,10 +203,7 @@ def _pages_generic(f: _FiltrationData, r_max: Optional[int] = None) -> List[Spec
                 z = _z_space(f, n, p, r)
                 inner_z = _z_space(f, n, p + 1, r - 1)
                 prev = _z_space(f, n - 1, p - r + 1, r - 1)
-                dprev_vectors = [
-                    total.diff(n - 1).apply(prev.basis.col_tuple(j)) for j in range(prev.dim)
-                ]
-                boundary = inner_z.sum(Subspace.from_vectors(dprev_vectors, total.dim(n)))
+                boundary = inner_z.sum(Subspace(total.dim(n), total.diff(n - 1) * prev.basis))
                 denom = z.intersect(boundary)
                 proj, sect, lift = z.quotient_by(denom)
                 if proj.rows:
@@ -225,21 +214,13 @@ def _pages_generic(f: _FiltrationData, r_max: Optional[int] = None) -> List[Spec
             tgt = quotients.get((p + r, q - r + 1))
             src_dim = entries[(p, q)].dim
             if tgt is None:
-                tgt_dim = 0
                 diffs[(p, q)] = Matrix.zeros(0, src_dim)
                 continue
             zt, projt, _ = tgt
-            cols = []
-            for j in range(lift.cols):
-                v = total.diff(n).apply(lift.col_tuple(j))
-                coords = zt.coords_of(v)
-                if coords is None:
-                    raise ValidationError("page differential leaves its window")
-                cols.append(projt.apply(coords))
-            rows = entries[(p + r, q - r + 1)].dim
-            diffs[(p, q)] = Matrix(
-                rows, len(cols), list(map(list, zip(*cols))) if cols and rows else [[] for _ in range(rows)]
-            )
+            coords = zt.coords_matrix(total.diff(n) * lift)
+            if coords is None:
+                raise ValidationError("page differential leaves its window")
+            diffs[(p, q)] = projt * coords
         pages.append(SpectralPage(r=r, entries=entries, differentials=diffs))
     # internal consistency: d_r ∘ d_r = 0 and E_{r+1} = H(E_r, d_r)
     for page, nxt in zip(pages, pages[1:]):
@@ -328,9 +309,8 @@ def simplicial_collapse(c: Complex, n_levels: int) -> CollapseReport:
     for col in range(-n_levels, 1):
         for m in c.dims:
             spaces[(col, m)] = c.dim(m)
-            sign = ONE if col % 2 == 0 else -ONE
             if c.dim(m + 1):
-                dv[(col, m)] = c.diff(m).scale(sign)
+                dv[(col, m)] = c.diff(m) if col % 2 == 0 else -c.diff(m)
         if col < 0:
             # faces of the constant simplicial level are all the identity
             face_count = (-col) + 1
@@ -375,10 +355,7 @@ def simplicial_collapse(c: Complex, n_levels: int) -> CollapseReport:
             total_ok = False
             continue
         off, k = found
-        rows = total.dim(m)
-        incl_comps[m] = Matrix(
-            rows, k, [[ONE if i == off + j else ZERO for j in range(k)] for i in range(rows)]
-        )
+        incl_comps[m] = assemble(total.dim(m), k, [(off, 0, Matrix.identity(k))])
     incl = ChainMap(c, total, incl_comps)
     if not incl.is_quasi_iso(via="degreewise"):
         total_ok = False

@@ -162,6 +162,26 @@ def test_cli_rejects_float_bool_and_negative_dimensions(tmp_path, capsys, name, 
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("value", ["1e3", "1.5", " 2"])
+def test_cli_rejects_scalar_strings_beyond_num_den(tmp_path, capsys, value):
+    # only "num" and "num/den" are exact scalar strings; Fraction alone would
+    # read exponents (1e999999999 builds a huge integer), decimals and spaces
+    path = _edited_corpus_file(tmp_path, "d2page.dcomplex", _set_dh(value))
+    assert main(["ss", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d_h[0,1][0][0]" in captured.err and "rejected" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("alpha", ["1e3", "1.5", "1/0", "x"])
+def test_cli_cup_rejects_inexact_alpha(capsys, alpha):
+    args = ["cup", "p1.datum", "--twist1", "0", "--twist2", "1", "--deg1", "0", "--deg2", "2", "--alpha", alpha]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "--alpha" in captured.err and "Traceback" not in captured.err
+
+
 def test_cli_accepts_integer_and_string_scalars(tmp_path, capsys):
     assert main(["ss", _edited_corpus_file(tmp_path, "d2page.dcomplex", _set_dh(1))]) == 0
     assert main(["validate", _edited_corpus_file(tmp_path, "tate0.phc", _set_extension([-2, "0", 1], [0, "-1"]))]) == 0

@@ -228,6 +228,54 @@ def test_coords_of_matches_solve():
     assert Subspace.full(2).coords_of([1, -2]) == (F(1), F(-2))
 
 
+def test_coords_matrix_matches_solve_matrix():
+    rng = random.Random(113)
+    spaces = [("zero", Subspace.zero(n)) for n in range(4)] + [("full", Subspace.full(n)) for n in range(4)]
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        m = rand_matrix(rng, rng.randint(1, 7), n)
+        red, pivots = m.rref()
+        rref_basis = Matrix(len(pivots), n, red.entries[: len(pivots)]).transpose()
+        spaces.append(("rref", Subspace(n, m.transpose())))
+        spaces.append(("rref", Subspace(n, rref_basis, canonical=True)))
+        # a kernel basis has its unit rows at the free columns
+        spaces.append(("kernel", Subspace(n, m.kernel_basis(), canonical=True)))
+    seen = dict.fromkeys(["zero", "full", "rref", "kernel", "zero_dim", "no_columns", "outside", "inside"], 0)
+    for kind, space in spaces:
+        n, basis = space.ambient_dim, space.basis
+        seen[kind] += 1
+        seen["zero_dim"] += space.dim == 0
+        for cols in (0, 1, 3):
+            seen["no_columns"] += cols == 0
+            members = basis * rand_matrix(rng, space.dim, cols)
+            for target in (members, rand_matrix(rng, n, cols)):
+                expected = basis.solve_matrix(target)
+                got = space.coords_matrix(target)
+                assert got == expected
+                seen["outside" if got is None else "inside"] += 1
+                # None exactly when some column is outside the subspace
+                per_column = [space.coords_of(target.col_tuple(j)) for j in range(cols)]
+                if got is None:
+                    assert None in per_column
+                else:
+                    assert [got.col_tuple(j) for j in range(cols)] == per_column
+    assert all(seen.values()), seen
+    with pytest.raises(ValidationError):
+        Subspace.full(2).coords_matrix(Matrix.zeros(3, 1))
+
+
+def test_canonical_subspace_needs_a_unit_row_per_column():
+    kernel = Matrix.from_rows([[1, 1, -1]]).kernel_basis()
+    space = Subspace(3, kernel, canonical=True)
+    assert space.basis == kernel and space._pivot_rows == (1, 2)
+    assert space.coords_matrix(Matrix.from_rows([[1], [2], [3]])) == Matrix.from_rows([[2], [3]])
+    # the first unit row of a column is its pivot row, wherever it sits
+    assert Subspace(3, Matrix.from_rows([[2, 0], [0, 1], [1, 0]]), canonical=True)._pivot_rows == (2, 1)
+    for rows in ([[2], [3]], [[1, 1], [0, 1], [0, 0]], [[1, 0], [0, 2]], [[0], [0]]):
+        with pytest.raises(ValidationError):
+            Subspace(len(rows), Matrix.from_rows(rows), canonical=True)
+
+
 def test_char_poly_and_eigenvalues():
     m = Matrix.from_rows([[0, -5], [1, 1]])
     assert m.char_poly() == (F(5), F(-1), F(1))

@@ -20,7 +20,7 @@ from .ext import ExtComplex, cup_product, induced_map
 from .filtered import FilteredComplex, Filtration, level_subcomplex
 from .frames import CoefficientFrame
 from .frobenius import FrobeniusComplex
-from .linalg import Matrix, Subspace, assemble, kron
+from .linalg import Matrix, Subspace, assemble, kron, vstack
 from .phc import (
     PHodgeComplex,
     PHodgeMap,
@@ -31,9 +31,6 @@ from .phc import (
     twist,
     unit_object,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class SyntomicCone:
@@ -197,48 +194,19 @@ def long_exact_sequence(m: PHodgeComplex, n: int, variant: str = "rigid") -> LES
         # H^q(total) -> H^q(A)
         maps_a[q] = h_a.class_matrix(proj.component(q) * h_u.representatives)
         # H^q(A) -> H^q(M0) (+) H^q(other) through the normalized maps
-        cols = []
-        cstar = h_k.class_matrix(m.c.component(q) * h0.representatives)
-        cstar_inv = cstar.inverse() if variant == "rigid" and h_k.dim else None
-        sstar = None
-        if variant == "derham":
-            sstar = h_k.class_matrix(m.s.component(q) * m.dr.carrier.cohomology(q).representatives)
-            sstar_inv = sstar.inverse() if h_k.dim else None
-        phi_h = _induced_phi(m, q)
         d0 = m.rig.complex.dim(q)
-        for j in range(h_a.dim):
-            rep = h_a.representatives.col_tuple(j)
-            x0 = rep[:d0]
-            xf = rep[d0:]
-            x0_class = h0.project(x0) if h0.dim else ()
-            first = tuple(
-                sum(phi_h.entries[i][k] * x0_class[k] * p_pow for k in range(len(x0_class)))
-                - (x0_class[i] if i < len(x0_class) else ZERO)
-                for i in range(len(x0_class))
-            )
-            xf_amb = u.fsub_incl.component(q).apply(xf) if u.fsub.dim(q) else tuple([ZERO] * m.dr.carrier.dim(q))
-            if variant == "rigid":
-                sp = ()
-                if h0.dim:
-                    xk_class = h_k.project(m.s.component(q).apply(xf_amb)) if h_k.dim else ()
-                    sp = cstar_inv.apply(xk_class) if h_k.dim else tuple([ZERO] * h0.dim)
-                second = tuple(
-                    (x0_class[i] if i < len(x0_class) else ZERO) - (sp[i] if i < len(sp) else ZERO)
-                    for i in range(h0.dim)
-                )
-            else:
-                hdr = m.dr.carrier.cohomology(q)
-                cosp = ()
-                if hdr.dim:
-                    xk_class = h_k.project(m.c.component(q).apply(x0)) if h_k.dim else ()
-                    cosp = sstar_inv.apply(xk_class) if h_k.dim else tuple([ZERO] * hdr.dim)
-                xdr_class = hdr.project(xf_amb) if hdr.dim else ()
-                second = tuple(
-                    (cosp[i] if i < len(cosp) else ZERO) - (xdr_class[i] if i < len(xdr_class) else ZERO)
-                    for i in range(hdr.dim)
-                )
-            cols.append(tuple(first) + tuple(second))
-        maps_b[q] = Matrix.from_columns(terms[q][2], cols)
+        rows = h_a.representatives.entries
+        x0 = Matrix(d0, h_a.dim, rows[:d0])
+        xf = u.fsub_incl.component(q) * Matrix(u.fsub.dim(q), h_a.dim, rows[d0:])
+        x0_class = h0.class_matrix(x0)
+        first = (m.rig.induced_on_cohomology(q).scale(p_pow) - Matrix.identity(h0.dim)) * x0_class
+        if variant == "rigid":
+            cstar = h_k.class_matrix(m.c.component(q) * h0.representatives)
+            second = x0_class - cstar.inverse() * h_k.class_matrix(m.s.component(q) * xf)
+        else:
+            sstar = h_k.class_matrix(m.s.component(q) * h_other.representatives)
+            second = sstar.inverse() * h_k.class_matrix(m.c.component(q) * x0) - h_other.class_matrix(xf)
+        maps_b[q] = vstack([first, second])
         # H^q(M0) (+) H^q(other) -> H^{q+1}(total): representatives (z, 0) and (0, comp(z))
         reps = [(0, 0, h0.representatives), (d0, h0.dim, comp.component(q) * h_other.representatives)]
         vecs = assemble(d0 + m.k.dim(q), h0.dim + h_other.dim, reps)
@@ -249,10 +217,6 @@ def long_exact_sequence(m: PHodgeComplex, n: int, variant: str = "rigid") -> LES
         joints.append(_joint(q, "target", maps_b[q], maps_c[q]))
         joints.append(_joint(q, "cone", maps_c[q], maps_a[q + 1]))
     return LESReport(variant=variant, twist=n, terms={q: terms[q] for q in sorted(terms)}, joints=joints)
-
-
-def _induced_phi(m: PHodgeComplex, q: int) -> Matrix:
-    return m.rig.induced_on_cohomology(q)
 
 
 def _joint(q: int, position: str, incoming: Matrix, outgoing: Matrix) -> SequenceJoint:
@@ -427,14 +391,16 @@ def cup_absolute(
     h1 = e1.classes(q)
     h2 = e2.classes(r)
     h_out = e_out.classes(q + r)
-    table = {}
-    for a_idx in range(h1.dim):
-        for b_idx in range(h2.dim):
-            u = h1.representatives.col_tuple(a_idx)
-            v = h2.representatives.col_tuple(b_idx)
-            w = cup_product(e1, e2, e_t, q, u, r, v, alpha)
-            out = push.component(q + r).apply(w)
-            table[(a_idx, b_idx)] = h_out.project(out)
+    pairs = [(a_idx, b_idx) for a_idx in range(h1.dim) for b_idx in range(h2.dim)]
+    products = Matrix.from_columns(
+        e_t.total.dim(q + r),
+        [
+            cup_product(e1, e2, e_t, q, h1.representatives.col_tuple(a_idx), r, h2.representatives.col_tuple(b_idx), alpha)
+            for a_idx, b_idx in pairs
+        ],
+    )
+    classes = h_out.class_matrix(push.component(q + r) * products)
+    table = {pair: classes.col_tuple(k) for k, pair in enumerate(pairs)}
     return {"target_dim": h_out.dim, "products": table, "source_dims": (h1.dim, h2.dim)}
 
 
@@ -459,15 +425,12 @@ def _perfect_pairing_checks(x: GeometricDatum) -> None:
                 raise PreconditionError(f"pairing degenerate: {label} degrees {a},{b} have different ranks")
             if hm.dim == 0:
                 continue
-            gram = [[ZERO] * hn.dim for _ in range(hm.dim)]
-            for s_ in range(hm.dim):
-                u = hm.representatives.col_tuple(s_)
-                for t_ in range(hn.dim):
-                    v = hn.representatives.col_tuple(t_)
-                    vec = t.pure_tensor(a, u, b, v)
-                    out = pi.get(top, Matrix.zeros(comp_n.dim(top), t.complex.dim(top))).apply(vec)
-                    gram[s_][t_] = tr.apply(out)[0]
-            g = Matrix(hm.dim, hn.dim, gram)
+            # column s * hn.dim + t is the pure tensor of representatives s and t
+            off, _ = t.block_offset(top, a)
+            pure = assemble(t.complex.dim(top), hm.dim * hn.dim, [(off, 0, kron(hm.representatives, hn.representatives))])
+            pairing = pi.get(top, Matrix.zeros(comp_n.dim(top), t.complex.dim(top)))
+            values = (tr * pairing * pure).entries[0]
+            g = Matrix(hm.dim, hn.dim, [values[s_ * hn.dim : (s_ + 1) * hn.dim] for s_ in range(hm.dim)])
             if g.rank != hm.dim:
                 raise PreconditionError(f"pairing degenerate on {label} cohomology in degree {a}")
 
@@ -682,44 +645,33 @@ class DualityMachine:
         trunc_rig = _truncation_projection(n.rig.complex, self.p1.rig.complex, top)
         trunc_k = _truncation_projection(n.k, self.p1.k, top)
         trunc_dr = _truncation_projection(n.dr.carrier, self.p1.dr.carrier, top)
+        phi = {q: n.rig.phi_at(q) for q in n.rig.complex.dims}
+        c_maps = {q: n.c.component(q) for q in n.rig.complex.dims}
+        s_maps = {q: n.s.component(q) for q in n.dr.carrier.dims}
         alpha_comps: Dict[int, Matrix] = {}
         beta_comps: Dict[int, Matrix] = {}
         for a in set(self.m_a.dims) | set(e1.gamma0.dims):
-            cols = []
-            d0 = m.rig.complex.dim(a)
-            ddr = m.dr.carrier.dim(a)
-            df = self.m_fsub.dim(a)
-            for idx in range(d0):
-                xe = [ZERO] * d0
-                xe[idx] = ONE
-                cols.append(self._alpha_column(e1, a, "rig", tuple(xe), t_rig, t_k, t_dr, trunc_rig, trunc_k, trunc_dr))
-            for idx in range(ddr):
-                xe = [ZERO] * ddr
-                xe[idx] = ONE
-                cols.append(self._alpha_column(e1, a, "dr_prime", tuple(xe), t_rig, t_k, t_dr, trunc_rig, trunc_k, trunc_dr))
-            for idx in range(df):
-                xe = [ZERO] * df
-                xe[idx] = ONE
-                cols.append(self._alpha_column(e1, a, "filtered", tuple(xe), t_rig, t_k, t_dr, trunc_rig, trunc_k, trunc_dr))
-            alpha_comps[a] = Matrix.from_columns(e1.gamma0.dim(a), cols)
+            o_a, o_b, o_c = e1.slot0_offsets(a)
+            d0, ddr = m.rig.complex.dim(a), m.dr.carrier.dim(a)
+            h_dd = _pairing_hom(e1.h_dd, a, x.pairing.dr, t_dr, trunc_dr) * self.m_fsub_incl.component(a)
+            h_ff = e1.h_ff.bases.get(a, Subspace.zero(e1.h_dd.complex.dim(a))).coords_matrix(h_dd)
+            if h_ff is None:
+                raise ValidationError("pairing image escapes the filtration-compatible slot")
+            blocks = [
+                (o_a, 0, _pairing_hom(e1.h_rr, a, x.pairing.rig, t_rig, trunc_rig)),
+                (o_b, d0, _pairing_hom(e1.h_kk, a, x.pairing.k, t_k, trunc_k) * m.s.component(a)),
+                (o_c, d0 + ddr, h_ff),
+            ]
+            alpha_comps[a] = assemble(e1.gamma0.dim(a), self.m_a.dim(a), blocks)
         for a in set(self.m_b.dims) | set(e1.gamma1.dims):
-            cols = []
-            d0 = m.rig.complex.dim(a)
-            dk = m.k.dim(a)
-            ddr = m.dr.carrier.dim(a)
-            for idx in range(d0):
-                xe = [ZERO] * d0
-                xe[idx] = ONE
-                cols.append(self._beta_column(e1, a, "rig", tuple(xe), t_rig, t_k, trunc_rig, trunc_k))
-            for idx in range(dk):
-                xe = [ZERO] * dk
-                xe[idx] = ONE
-                cols.append(self._beta_column(e1, a, "k", tuple(xe), t_rig, t_k, trunc_rig, trunc_k))
-            for idx in range(ddr):
-                xe = [ZERO] * ddr
-                xe[idx] = ONE
-                cols.append(self._beta_column(e1, a, "dr", tuple(xe), t_rig, t_k, trunc_rig, trunc_k))
-            beta_comps[a] = Matrix.from_columns(e1.gamma1.dim(a), cols)
+            o_d, o_e, o_f = e1.slot1_offsets(a)
+            d0, dk = m.rig.complex.dim(a), m.k.dim(a)
+            blocks = [
+                (o_d, 0, _pairing_hom(e1.h_rr, a, x.pairing.rig, t_rig, trunc_rig, phi)),
+                (o_e, d0, _pairing_hom(e1.h_rk, a, x.pairing.k, t_k, trunc_k, c_maps)),
+                (o_f, d0 + dk, _pairing_hom(e1.h_dk, a, x.pairing.k, t_k, trunc_k, s_maps) * m.s.component(a)),
+            ]
+            beta_comps[a] = assemble(e1.gamma1.dim(a), self.m_b.dim(a), blocks)
         alpha = ChainMap(self.m_a, e1.gamma0, alpha_comps, check=False)
         beta = ChainMap(self.m_b, e1.gamma1, beta_comps, check=False)
         # square against the two glue maps, then assemble the cone map
@@ -732,69 +684,6 @@ class DualityMachine:
         self.steps["pairing_square"] = square_ok
         self.duality_map = shifted_cone_map(alpha, beta, self.modified, e1.total, check=True)
         self.steps["duality_map_quasi_iso"] = self.duality_map.is_quasi_iso(via="degreewise")
-
-    def _alpha_column(self, e1, a, slot, unit_vec, t_rig, t_k, t_dr, trunc_rig, trunc_k, trunc_dr):
-        x = self.x
-        m, n = x.rgamma, x.rgamma_c
-        target = [ZERO] * e1.gamma0.dim(a)
-        o_a, o_b, o_c = e1.slot0_offsets(a)
-        if slot == "rig":
-            comp = _hom_element(
-                e1.h_rr, a, n.rig.complex, self.p1.rig.complex, x.pairing.rig, t_rig, trunc_rig, unit_vec, None
-            )
-            for pos, val in comp:
-                target[o_a + pos] = val
-        elif slot == "dr_prime":
-            svec = m.s.component(a).apply(unit_vec)
-            comp = _hom_element(e1.h_kk, a, n.k, self.p1.k, x.pairing.k, t_k, trunc_k, svec, None)
-            for pos, val in comp:
-                target[o_b + pos] = val
-        else:
-            amb = self.m_fsub_incl.component(a).apply(unit_vec)
-            raw = [ZERO] * e1.h_dd.complex.dim(a)
-            comp = _hom_element(e1.h_dd, a, n.dr.carrier, self.p1.dr.carrier, x.pairing.dr, t_dr, trunc_dr, amb, None)
-            for pos, val in comp:
-                raw[pos] = val
-            space = e1.h_ff.bases.get(a)
-            if space is None:
-                if any(v != 0 for v in raw):
-                    raise ValidationError("pairing image escapes the filtration-compatible slot")
-            else:
-                coords = space.coords_of(raw)
-                if coords is None:
-                    raise ValidationError("pairing image escapes the filtration-compatible slot")
-                for pos, val in enumerate(coords):
-                    target[o_c + pos] = val
-        return tuple(target)
-
-    def _beta_column(self, e1, a, slot, unit_vec, t_rig, t_k, trunc_rig, trunc_k):
-        x = self.x
-        m, n = x.rgamma, x.rgamma_c
-        target = [ZERO] * e1.gamma1.dim(a)
-        o_d, o_e, o_f = e1.slot1_offsets(a)
-        if slot == "rig":
-            comp = _hom_element(
-                e1.h_rr, a, n.rig.complex, self.p1.rig.complex, x.pairing.rig, t_rig, trunc_rig, unit_vec,
-                {q: n.rig.phi_at(q) for q in n.rig.complex.dims},
-            )
-            for pos, val in comp:
-                target[o_d + pos] = val
-        elif slot == "k":
-            comp = _hom_element(
-                e1.h_rk, a, n.rig.complex, self.p1.k, x.pairing.k, t_k, trunc_k, unit_vec,
-                {q: n.c.component(q) for q in n.rig.complex.dims},
-            )
-            for pos, val in comp:
-                target[o_e + pos] = val
-        else:
-            svec = m.s.component(a).apply(unit_vec)
-            comp = _hom_element(
-                e1.h_dk, a, n.dr.carrier, self.p1.k, x.pairing.k, t_k, trunc_k, svec,
-                {q: n.s.component(q) for q in n.dr.carrier.dims},
-            )
-            for pos, val in comp:
-                target[o_f + pos] = val
-        return tuple(target)
 
     def report(self, q: int) -> DualityReport:
         x, i = self.x, self.i
@@ -855,58 +744,36 @@ def _truncation_projection(src: Complex, tgt: Complex, top: int) -> ChainMap:
     return ChainMap(src, tgt, comps, check=False)
 
 
-def _hom_element(
-    hom_node,
-    a: int,
-    n_complex: Complex,
-    p_complex: Complex,
-    pairing: Dict[int, Matrix],
-    t_complex,
-    trunc: ChainMap,
-    left_vec,
-    pre_maps: Optional[Dict[int, Matrix]],
-):
-    """Pack the Hom element y -> trunc(pairing(left (x) pre(y))) of degree a.
+def _pairing_hom(hom_node, a: int, pairing: Dict[int, Matrix], t, trunc: ChainMap, pre_maps=None) -> Matrix:
+    """The matrix of x -> (y -> trunc(pairing(x (x) pre(y)))) from degree a
+    of the tensor's left factor into the hom node's degree-a coordinates.
 
-    Yields (position, value) pairs inside the hom node's degree-a coordinates.
     pre_maps (per source degree) are applied to y first; for the beta slots
-    they are the Frobenius or a comparison map.
+    they are the Frobenius or a comparison map, and a slot without one stays
+    zero.  In a slot (q, r, c), column k is the k-th r x c piece of
+    trunc * pairing on the (a, q) tensor block, packed row-major.
     """
-    out = []
-    if not any(v != 0 for v in left_vec):
-        return out
-    left_col = Matrix.column(left_vec)
+    left = t.a.dim(a)
+    blocks = []
     for q, r, c, off in hom_node.slots(a):
         pre = None
         if pre_maps is not None:
             pre = pre_maps.get(q)
             if pre is None:
                 continue
-        mid_degree = a + q
-        if not t_complex.complex.dim(mid_degree):
-            continue
-        found = t_complex.block_offset(mid_degree, a)
-        if found is None:
+        found = t.block_offset(a + q, a)
+        pi = pairing.get(a + q)
+        if found is None or pi is None:
             continue
         boff, bsize = found
-        pi = pairing.get(mid_degree)
-        if pi is None:
-            continue
-        inner_dim = bsize // left_col.rows if left_col.rows else 0
-        kr = kron(left_col, Matrix.identity(inner_dim))
-        embed = assemble(t_complex.complex.dim(mid_degree), inner_dim, [(boff, 0, kr)])
-        block = trunc.component(mid_degree) * pi * embed
+        g = trunc.component(a + q) * Matrix(pi.rows, bsize, [row[boff : boff + bsize] for row in pi.entries])
         if pre is not None:
-            block = block * pre
-        if block.rows != r or block.cols != c:
+            g = g * kron(Matrix.identity(left), pre)
+        if g.rows != r or g.cols != left * c:
             raise ValidationError("pairing hom element has the wrong shape")
-        t = 0
-        for i_ in range(r):
-            for j_ in range(c):
-                if block.entries[i_][j_] != 0:
-                    out.append((off + i_ * c + j_, block.entries[i_][j_]))
-                t += 1
-    return out
+        packed = [[g.entries[i][k * c + j] for k in range(left)] for i in range(r) for j in range(c)]
+        blocks.append((off, 0, Matrix(r * c, left, packed)))
+    return assemble(hom_node.complex.dim(a), left, blocks)
 
 
 def duality_check(x: GeometricDatum, i: int, q: int) -> DualityReport:

@@ -18,11 +18,8 @@ from .absolute import (
     DualityMachine,
     GeometricDatum,
     ProperMapDatum,
-    abs_cohomology,
-    abs_cohomology_compact,
     abs_homology,
     cup_absolute,
-    duality_check,
     gysin_map,
     long_exact_sequence,
     syntomic_complex,

@@ -8,7 +8,6 @@ this is an ordinary chain self-map.  Twisting by n scales phi by p^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 

@@ -11,17 +11,12 @@ and an independent nerve (Cech-style) oracle over strict chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import ChainMap, Complex
 from .errors import PreconditionError, ValidationError
 from .linalg import Matrix, Subspace, assemble, kron, vstack
 from .spectral import DoubleComplex, total_complex
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class FiniteSite:
@@ -253,15 +248,9 @@ def pushforward_from_points(site: FiniteSite, family: Dict[str, int]) -> Sheaf:
     for (a, b) in site.leq:
         if a == b or not values[a] or not values[b]:
             continue
-        rows = []
         offs_a = _point_offsets(site, family, a)
-        for p in site.points_above(b):
-            off, k = offs_a[p]
-            for i in range(k):
-                row = [ZERO] * values[a]
-                row[off + i] = ONE
-                rows.append(row)
-        maps[(a, b)] = Matrix(values[b], values[a], rows)
+        blocks = [(off, offs_a[p][0], Matrix.identity(k)) for p, (off, k) in _point_offsets(site, family, b).items()]
+        maps[(a, b)] = assemble(values[b], values[a], blocks)
     return Sheaf(site, values, maps, check=False)
 
 
@@ -526,6 +515,35 @@ def _sections_complex(levels: List[Sheaf], diffs: Dict[int, SheafMap]) -> Comple
     return Complex(dims, d)
 
 
+def _sections_double_complex(
+    grid: Dict[Tuple[int, int], Sheaf],
+    dh_maps: Dict[Tuple[int, int], SheafMap],
+    dv_maps: Dict[Tuple[int, int], SheafMap],
+    max_degree: int,
+) -> Dict[int, int]:
+    """Cohomology dimensions up to max_degree of the total complex of the
+    sections of a grid of sheaves.
+
+    dh_maps[(i, j)] runs from grid[(i, j)] to grid[(i + 1, j)] and
+    dv_maps[(i, j)] to grid[(i, j + 1)]; the vertical maps are signed by the
+    parity of i so that the squares anticommute.
+    """
+    secs = {ij: sections(f) for ij, f in grid.items()}
+    spaces = {ij: s.dim for ij, (s, _) in secs.items() if s.dim}
+    dh: Dict[Tuple[int, int], Matrix] = {}
+    dv: Dict[Tuple[int, int], Matrix] = {}
+    for (i, j), g in dh_maps.items():
+        m = sections_map(g, *secs[(i, j)], *secs[(i + 1, j)])
+        if not m.is_zero():
+            dh[(i, j)] = m
+    for (i, j), g in dv_maps.items():
+        m = sections_map(g, *secs[(i, j)], *secs[(i, j + 1)])
+        if not m.is_zero():
+            dv[(i, j)] = m if i % 2 == 0 else -m
+    total, _ = total_complex(DoubleComplex(spaces, dh, dv))
+    return {q: total.cohomology(q).dim for q in range(0, max_degree + 1)}
+
+
 def nerve_cohomology(f: Sheaf, max_degree: Optional[int] = None) -> Dict[int, int]:
     """The independent oracle: the strict-chain cochain complex with values
     F(top of chain)."""
@@ -587,41 +605,24 @@ def gd2_cohomology(f: Sheaf, length: Optional[int] = None, max_degree: Optional[
         max_degree = site.height
     cap = length if length is not None else max_degree + 1
     inner = BarResolution(f, cap)
-    spaces = {}
-    dh: Dict[Tuple[int, int], Matrix] = {}
-    dv: Dict[Tuple[int, int], Matrix] = {}
-    columns: Dict[int, BarResolution] = {}
-    secs: Dict[Tuple[int, int], Tuple[Subspace, Dict]] = {}
+    grid: Dict[Tuple[int, int], Sheaf] = {}
+    dh: Dict[Tuple[int, int], SheafMap] = {}
+    dv: Dict[Tuple[int, int], SheafMap] = {}
     for b in range(cap + 1):
-        columns[b] = BarResolution(inner.levels[b], cap - b)
+        column = BarResolution(inner.levels[b], cap - b)
         for a in range(cap - b + 1):
-            s = sections(columns[b].levels[a])
-            secs[(b, a)] = s
-            if s[0].dim:
-                spaces[(b, a)] = s[0].dim
+            grid[(b, a)] = column.levels[a]
+            if a < cap - b and column.differential(a) is not None:
+                dv[(b, a)] = column.differential(a)
     # horizontal differentials: T^{a+1} of the inner bar differential
-    lifted: Dict[int, SheafMap] = {}
     for b in range(cap):
-        g = inner.differential(b)
-        if g is None:
+        lifted = inner.differential(b)
+        if lifted is None:
             continue
-        lifted[b] = t_map(g)
         for a in range(cap - b):
-            if a > 0:
-                lifted[b] = t_map(lifted[b])
-            if (b + 1, a) in secs and (b, a) in secs:
-                m = sections_map(lifted[b], secs[(b, a)][0], secs[(b, a)][1], secs[(b + 1, a)][0], secs[(b + 1, a)][1])
-                if not m.is_zero():
-                    dh[(b, a)] = m
-    for (b, a), s in secs.items():
-        outer = columns[b]
-        if (b, a + 1) in secs and outer.differential(a) is not None:
-            m = sections_map(outer.differential(a), s[0], s[1], secs[(b, a + 1)][0], secs[(b, a + 1)][1])
-            if not m.is_zero():
-                dv[(b, a)] = m if b % 2 == 0 else -m
-    dc = DoubleComplex(spaces, dh, dv)
-    total, _ = total_complex(dc)
-    return {q: total.cohomology(q).dim for q in range(0, max_degree + 1)}
+            lifted = t_map(lifted)
+            dh[(b, a)] = lifted
+    return _sections_double_complex(grid, dh, dv, max_degree)
 
 
 def sheaf_cohomology(f: Sheaf, via: str = "cech", **kw) -> Dict[int, int]:
@@ -708,43 +709,23 @@ def base_change_map(fmap: SiteMap, h: Sheaf) -> SheafMap:
     fam_inner = stalk_family(h)
     comps = {}
     for y in Y.elements:
-        rows = tgt.dim(y)
-        cols = src.dim(y)
-        out = [[ZERO] * cols for _ in range(rows)]
+        # block q of the source: points q above y, coordinates inside (f_*H)(q)
         outer_offs = _point_offsets(Y, stalk_family(push_h.sheaf), y)
         s2, o2 = push_th.bases[y]
-        for j in range(cols):
-            # basis vector of T_Y(f_*H)(y): block q in points above y, coordinate inside (f_*H)(q)
-            vec = [ZERO] * cols
-            vec[j] = ONE
-            target_amb = [ZERO] * s2.ambient_dim
-            for x, (off_x, kx) in o2.items():
-                # component at x, block p in Pt_X above x
-                inner_offs = _point_offsets(X, fam_inner, x)
-                for p in X.points_above(x):
-                    q = fmap.assignment[p]
-                    if not Y.le(y, q):
-                        continue
-                    q_off = outer_offs.get(q)
-                    if q_off is None:
-                        continue
-                    s1, o1 = push_h.bases[q]
-                    block = vec[q_off[0] : q_off[0] + q_off[1]]
-                    if not any(v != 0 for v in block):
-                        continue
-                    amb = s1.basis.apply(block)
-                    poff, pk = o1[p]
-                    piece = amb[poff : poff + pk]
-                    ioff, ik = inner_offs[p]
-                    for t in range(pk):
-                        target_amb[off_x + ioff + t] += piece[t]
-            coords = s2.coords_of(target_amb)
-            if coords is None:
-                raise ValidationError("base change image is not compatible")
-            for i, v in enumerate(coords):
-                if v != 0:
-                    out[i][j] = v
-        comps[y] = Matrix(rows, cols, out)
+        blocks = []
+        for x, (off_x, _) in o2.items():
+            # component at x: block p for the points p of X above x, read off the family of block f(p)
+            for p, (ioff, ik) in _point_offsets(X, fam_inner, x).items():
+                q = fmap.assignment[p]
+                if q not in outer_offs:
+                    continue
+                s1, o1 = push_h.bases[q]
+                poff = o1[p][0]
+                blocks.append((off_x + ioff, outer_offs[q][0], Matrix(ik, s1.dim, s1.basis.entries[poff : poff + ik])))
+        coords = s2.coords_matrix(assemble(s2.ambient_dim, src.dim(y), blocks))
+        if coords is None:
+            raise ValidationError("base change image is not compatible")
+        comps[y] = coords
     return SheafMap(src, tgt, comps)
 
 
@@ -826,22 +807,16 @@ def lax_tensor_map(f: Sheaf, g: Sheaf) -> SheafMap:
     fam_fg = stalk_family(fg)
     comps = {}
     for x in site.elements:
-        rows = tgt.dim(x)
-        cols = src.dim(x)
-        out = [[ZERO] * cols for _ in range(rows)]
         offs_f = _point_offsets(site, fam_f, x)
         offs_g = _point_offsets(site, fam_g, x)
-        offs_fg = _point_offsets(site, fam_fg, x)
-        dim_tg = tg.dim(x)
-        for p in site.points_above(x):
+        blocks = []
+        for p, (to, _) in _point_offsets(site, fam_fg, x).items():
             fo, fk = offs_f[p]
             go, gk = offs_g[p]
-            to, tk = offs_fg[p]
-            for i in range(fk):
-                for j in range(gk):
-                    src_col = (fo + i) * dim_tg + (go + j)
-                    out[to + i * gk + j][src_col] = ONE
-        comps[x] = Matrix(rows, cols, out)
+            sel_f = assemble(fk, tf.dim(x), [(0, fo, Matrix.identity(fk))])
+            sel_g = assemble(gk, tg.dim(x), [(0, go, Matrix.identity(gk))])
+            blocks.append((to, 0, kron(sel_f, sel_g)))
+        comps[x] = assemble(tgt.dim(x), src.dim(x), blocks)
     return SheafMap(src, tgt, comps)
 
 
@@ -962,35 +937,16 @@ def gd_tensor(f: Sheaf, g: Sheaf, length: Optional[int] = None) -> TensorCompatR
             if src.cohomology(deg).dim:
                 quasi_ok = False
     # section-level dimensions on both sides
-    secs_grid: Dict[Tuple[int, int], Tuple[Subspace, Dict]] = {}
-    spaces = {}
+    grid = {}
     dh = {}
     dv = {}
     for a in range(length + 1):
         for b in range(length + 1 - a):
-            lv = tensor_sheaf(towers_f[a + 1], towers_g[b + 1])
-            s = sections(lv)
-            secs_grid[(a, b)] = s
-            if s[0].dim:
-                spaces[(a, b)] = s[0].dim
-    for (a, b), s in secs_grid.items():
-        if (a + 1, b) in secs_grid:
-            m = sections_map(
-                tensor_sheaf_map(bar_f.differentials[a], identity_map(towers_g[b + 1])),
-                s[0], s[1], secs_grid[(a + 1, b)][0], secs_grid[(a + 1, b)][1],
-            )
-            if not m.is_zero():
-                dh[(a, b)] = m
-        if (a, b + 1) in secs_grid:
-            m = sections_map(
-                tensor_sheaf_map(identity_map(towers_f[a + 1]), bar_g.differentials[b]),
-                s[0], s[1], secs_grid[(a, b + 1)][0], secs_grid[(a, b + 1)][1],
-            )
-            if not m.is_zero():
-                dv[(a, b)] = m if a % 2 == 0 else -m
-    dc = DoubleComplex(spaces, dh, dv)
-    total, _ = total_complex(dc)
-    left = {q: total.cohomology(q).dim for q in range(0, site.height + 1)}
+            grid[(a, b)] = tensor_sheaf(towers_f[a + 1], towers_g[b + 1])
+            if a + b < length:
+                dh[(a, b)] = tensor_sheaf_map(bar_f.differentials[a], identity_map(towers_g[b + 1]))
+                dv[(a, b)] = tensor_sheaf_map(identity_map(towers_f[a + 1]), bar_g.differentials[b])
+    left = _sections_double_complex(grid, dh, dv, site.height)
     right = gd_cohomology(fg, length=length, max_degree=site.height)
     return TensorCompatReport(
         levels=length,

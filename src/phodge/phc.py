@@ -427,11 +427,17 @@ def truncate_phc(m: PHodgeComplex, n: int, side: str) -> PHodgeComplex:
     else:
         rig_c, rig_basis = _truncate_ge_model(m.rig.complex, n)
         k_c, k_basis = _truncate_ge_model(m.k, n)
-    phi = {q: _model_map(m.rig.phi_at(q), rig_basis[q], rig_basis[q]) for q in rig_c.dims}
+
+    def at(q: int) -> int:
+        # the 'ge' model at n-1 is Im d^{n-1}, which lives in degree n, so the
+        # structure maps act there by their degree-n components
+        return max(q, n) if side == "ge" else q
+
+    phi = {q: _model_map(m.rig.phi_at(at(q)), rig_basis[q], rig_basis[q]) for q in rig_c.dims}
     rig = FrobeniusComplex(m.frame, rig_c, phi, check=False)
-    c_comps = {q: _model_map(m.c.component(q), rig_basis[q], k_basis.get(q)) for q in rig_c.dims}
+    c_comps = {q: _model_map(m.c.component(at(q)), rig_basis[q], k_basis.get(q)) for q in rig_c.dims}
     dr_basis = _model_basis_of_truncated(m.dr, dr, side, n)
-    s_comps = {q: _model_map(m.s.component(q), dr_basis[q], k_basis.get(q)) for q in dr.carrier.dims}
+    s_comps = {q: _model_map(m.s.component(at(q)), dr_basis[q], k_basis.get(q)) for q in dr.carrier.dims}
     c = ChainMap(rig_c, k_c, c_comps, check=False)
     s = ChainMap(dr.carrier, k_c, s_comps, check=False)
     return PHodgeComplex(m.frame, rig, dr, k_c, c, s, check=False)

@@ -247,6 +247,62 @@ def test_pairing_square_on_cohomology(p1_datum, elliptic_datum):
                     assert v1 == v2, (datum.name, a, b)
 
 
+def test_pairing_hom_matches_unit_vector_route(p1_datum, elliptic_datum):
+    """Column k of the assembled pairing matrix is the Hom element of e_k:
+    y -> trunc(pairing(e_k (x) pre(y))), packed slot by slot."""
+    from phodge.absolute import _pairing_hom, _truncation_projection
+    from phodge.complexes import ChainMap, hom_complex, tensor
+    from phodge.linalg import assemble, kron
+
+    from helpers import rand_complex, rand_matrix
+
+    def check(hom_node, t, pairing, trunc, pre_maps):
+        for a in sorted(set(t.a.dims) | set(hom_node.complex.dims)):
+            got = _pairing_hom(hom_node, a, pairing, t, trunc, pre_maps)
+            left = t.a.dim(a)
+            assert (got.rows, got.cols) == (hom_node.complex.dim(a), left)
+            for col in range(left):
+                e_k = Matrix.column([F(int(j == col)) for j in range(left)])
+                comps = {}
+                for q, r, c, off in hom_node.slots(a):
+                    found = t.block_offset(a + q, a)
+                    pre = Matrix.identity(c) if pre_maps is None else pre_maps.get(q)
+                    if found is None or pre is None or (a + q) not in pairing:
+                        continue
+                    inner = found[1] // left
+                    embed = assemble(t.complex.dim(a + q), inner, [(found[0], 0, kron(e_k, Matrix.identity(inner)))])
+                    comps[q] = trunc.component(a + q) * pairing[a + q] * embed * pre
+                assert got.col_tuple(col) == hom_node.pack(a, comps), (a, col)
+
+    for datum in (p1_datum, elliptic_datum):
+        m, n = datum.rgamma, datum.rgamma_c
+        for i in (0, 1):
+            dm = DualityMachine(datum, i)
+            e1, top = dm.e_p1, dm.top
+            rig = (tensor(m.rig.complex, n.rig.complex), datum.pairing.rig,
+                   _truncation_projection(n.rig.complex, dm.p1.rig.complex, top))
+            k = (tensor(m.k, n.k), datum.pairing.k, _truncation_projection(n.k, dm.p1.k, top))
+            dr = (tensor(m.dr.carrier, n.dr.carrier), datum.pairing.dr,
+                  _truncation_projection(n.dr.carrier, dm.p1.dr.carrier, top))
+            check(e1.h_rr, *rig, None)
+            check(e1.h_kk, *k, None)
+            check(e1.h_dd, *dr, None)
+            check(e1.h_rr, *rig, {q: n.rig.phi_at(q) for q in n.rig.complex.dims})
+            check(e1.h_rk, *k, {q: n.c.component(q) for q in n.rig.complex.dims})
+            check(e1.h_dk, *k, {q: n.s.component(q) for q in n.dr.carrier.dims})
+    # the corpus slots all have one row or a symmetric piece; random pairings
+    # into an untruncated target make the packing order visible
+    rng = random.Random(509)
+    for _ in range(5):
+        a_c, b_c, b2_c, c_c = (rand_complex(rng, 0, 1, 3) for _ in range(4))
+        t = tensor(a_c, b_c)
+        pairing = {d: rand_matrix(rng, c_c.dim(d), t.complex.dim(d)) for d in t.complex.dims}
+        ident = ChainMap.identity(c_c)
+        check(hom_complex(b_c, c_c), t, pairing, ident, None)
+        pre_maps = {q: rand_matrix(rng, b_c.dim(q), b2_c.dim(q)) for q in b2_c.dims}
+        check(hom_complex(b2_c, c_c), t, pairing, ident, pre_maps)
+
+
 def test_homology_frobenius_dual_description(point_datum, p1_datum, gm_datum, elliptic_datum):
     """Pairs (x0, x_dR) computing Hom out of one cohomology object satisfy the
     dual Frobenius equation; the matching class under the pairing has

@@ -244,6 +244,23 @@ def test_truncate_phc(corpus):
     assert all(a.rig.phi_at(q) == b.rig.phi_at(q) for q in a.rig.complex.dims)
 
 
+def test_truncate_ge_structure_maps_on_the_image_model(frame):
+    """At degree n-1 the 'ge' model is Im d^{n-1} inside degree n, so Frobenius,
+    c and s must act there by their degree-n components."""
+    rng = random.Random(5)
+    for trial in range(30):
+        m = rand_phc(rng, frame, lo=0, hi=1, max_dim=2)
+        t = truncate_phc(m, 1, "ge")
+        rig = FrobeniusComplex(frame, t.rig.complex, t.rig.phi, check=True)
+        c = ChainMap(t.rig.complex, t.k, t.c.components, check=True)
+        s = ChainMap(t.dr.carrier, t.k, t.s.components, check=True)
+        PHodgeComplex(frame, rig, t.dr, t.k, c, s, check=True)
+        for trunc, orig in ((t.rig.complex, m.rig.complex), (t.k, m.k), (t.dr.carrier, m.dr.carrier)):
+            for q in range(-1, 4):
+                expected = orig.cohomology(q).dim if q >= 1 else 0
+                assert trunc.cohomology(q).dim == expected, (trial, q)
+
+
 def test_shift_phc(frame):
     rng = random.Random(57)
     m = rand_phc(rng, frame)

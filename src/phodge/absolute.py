@@ -24,10 +24,10 @@ from .linalg import Matrix, Subspace, assemble, kron, vstack
 from .phc import (
     PHodgeComplex,
     PHodgeMap,
+    phc_truncation,
     shift_phc,
     tate_object,
     tensor_phc,
-    truncate_phc,
     twist,
     unit_object,
 )
@@ -369,9 +369,13 @@ def abs_cohomology_compact(x: GeometricDatum, q: int, i: int) -> Tuple[int, Matr
     return h.dim, h.representatives
 
 
+def homology_complex(x: GeometricDatum, i: int) -> ExtComplex:
+    """The Hom cone of (RGamma_c, K(-i)), whose H^{-q} is H_q^abs(X, i)."""
+    return ExtComplex(x.rgamma_c, tate_object(x.frame, -i))
+
+
 def abs_homology(x: GeometricDatum, q: int, i: int) -> int:
-    e = ExtComplex(x.rgamma_c, tate_object(x.frame, -i))
-    return e.ext_dim(-q)
+    return homology_complex(x, i).ext_dim(-q)
 
 
 def cup_absolute(
@@ -545,22 +549,12 @@ class DualityMachine:
         x, i = self.x, self.i
         n = x.rgamma_c
         top = self.top
-        p1_raw = truncate_phc(n, top, "ge")
+        p1_raw, self.trunc_p1 = phc_truncation(n, top, "ge")
         self.p1 = twist(p1_raw, i)
         # tau_{<= top} of p1_raw: kernel model at degree top
-        ker = Subspace(p1_raw.k.dim(top), p1_raw.k.diff(top).kernel_basis())
-        ker_rig = Subspace(p1_raw.rig.complex.dim(top), p1_raw.rig.complex.diff(top).kernel_basis())
-        ker_dr = Subspace(p1_raw.dr.carrier.dim(top), p1_raw.dr.carrier.diff(top).kernel_basis())
-        p2_raw = truncate_phc(p1_raw, top, "le")
+        p2_raw, trunc_p2 = phc_truncation(p1_raw, top, "le")
         self.p2 = twist(p2_raw, i)
-        incl = PHodgeMap(
-            self.p2,
-            self.p1,
-            _model_inclusion(p2_raw.rig.complex, p1_raw.rig.complex, top, ker_rig),
-            _model_inclusion(p2_raw.k, p1_raw.k, top, ker),
-            _model_inclusion(p2_raw.dr.carrier, p1_raw.dr.carrier, top, ker_dr),
-        )
-        self.p2_to_p1 = incl
+        self.p2_to_p1 = PHodgeMap(self.p2, self.p1, *(t.map for t in trunc_p2))
         # the class object: H^{top} in degree top
         h_rig = n.rig.complex.cohomology(top)
         h_k = n.k.cohomology(top)
@@ -584,23 +578,17 @@ class DualityMachine:
             {top: h_k.class_matrix(n.s.component(top) * h_dr.representatives)},
             check=False,
         )
-        fl = n.dr.level(top, x.d)
         dr3_filtration = Filtration(
             {top: h_dr.dim}, {top: [(x.d - i, Subspace.full(h_dr.dim))]}
         )
         dr3 = FilteredComplex(class_complexes["dr"], dr3_filtration, check=False)
         self.p3 = PHodgeComplex(x.frame, rig3, dr3, class_complexes["k"], c3, s3, check=False)
-        # quotient map p2 -> p3 (classes of kernel representatives)
-        q_rig = {top: h_rig.class_matrix(ker_rig.basis)}
-        q_k = {top: h_k.class_matrix(ker.basis)}
-        q_dr = {top: h_dr.class_matrix(ker_dr.basis)}
-        self.p2_to_p3 = PHodgeMap(
-            self.p2,
-            self.p3,
-            ChainMap(self.p2.rig.complex, self.p3.rig.complex, q_rig, check=False),
-            ChainMap(self.p2.k, self.p3.k, q_k, check=False),
-            ChainMap(self.p2.dr.carrier, self.p3.dr.carrier, q_dr, check=False),
-        )
+        # quotient map p2 -> p3: classes of the kernel model at degree top
+        q_maps = [
+            ChainMap(t.complex, c3, {top: h.class_matrix(t.map.component(top))}, check=False)
+            for t, h, c3 in zip(trunc_p2, (h_rig, h_k, h_dr), class_complexes.values())
+        ]
+        self.p2_to_p3 = PHodgeMap(self.p2, self.p3, *q_maps)
         # trace map p3 -> K(i-d)[-top]
         self.p4 = shift_phc(tate_object(x.frame, i - x.d), -top)
         t_rig = {top: x.trace.rig * h_rig.representatives}
@@ -624,7 +612,7 @@ class DualityMachine:
         self.steps["class_quotient_quasi_iso"] = self.map_23.is_quasi_iso(via="degreewise")
         self.steps["trace_quasi_iso"] = self.map_34.is_quasi_iso(via="degreewise")
         # the shifted Hom cone agrees with the homology realization
-        self.e_hom = ExtComplex(n, tate_object(x.frame, i - x.d))
+        self.e_hom = homology_complex(x, x.d - i)
         same = all(
             self.e_p4.total.dim(q) == self.e_hom.total.dim(q - 2 * x.d)
             and self.e_p4.total.diff(q) == self.e_hom.total.diff(q - 2 * x.d)
@@ -642,9 +630,7 @@ class DualityMachine:
         t_rig = tensor(m.rig.complex, n.rig.complex)
         t_k = tensor(m.k, n.k)
         t_dr = tensor(m.dr.carrier, n.dr.carrier)
-        trunc_rig = _truncation_projection(n.rig.complex, self.p1.rig.complex, top)
-        trunc_k = _truncation_projection(n.k, self.p1.k, top)
-        trunc_dr = _truncation_projection(n.dr.carrier, self.p1.dr.carrier, top)
+        trunc_rig, trunc_k, trunc_dr = (t.map for t in self.trunc_p1)
         phi = {q: n.rig.phi_at(q) for q in n.rig.complex.dims}
         c_maps = {q: n.c.component(q) for q in n.rig.complex.dims}
         s_maps = {q: n.s.component(q) for q in n.dr.carrier.dims}
@@ -717,31 +703,6 @@ class DualityMachine:
             steps=steps,
             iso_matrix=iso,
         )
-
-
-def _model_inclusion(sub: Complex, amb: Complex, top: int, ker: Subspace) -> ChainMap:
-    comps = {}
-    for q in sub.dims:
-        if q < top:
-            comps[q] = Matrix.identity(sub.dim(q))
-        elif q == top:
-            comps[q] = ker.basis
-        else:
-            raise ValidationError("unexpected degree above the truncation")
-    return ChainMap(sub, amb, comps, check=False)
-
-
-def _truncation_projection(src: Complex, tgt: Complex, top: int) -> ChainMap:
-    """The canonical map N -> tau_{>= top} N in the image-model coordinates:
-    identity in degrees >= top, d followed by image coordinates at top - 1."""
-    comps = {}
-    img = Subspace.from_matrix(src.diff(top - 1))
-    for q in tgt.dims:
-        if q >= top:
-            comps[q] = Matrix.identity(src.dim(q))
-        elif q == top - 1:
-            comps[q] = img.coords_matrix(src.diff(top - 1))
-    return ChainMap(src, tgt, comps, check=False)
 
 
 def _pairing_hom(hom_node, a: int, pairing: Dict[int, Matrix], t, trunc: ChainMap, pre_maps=None) -> Matrix:

@@ -18,9 +18,9 @@ from .absolute import (
     DualityMachine,
     GeometricDatum,
     ProperMapDatum,
-    abs_homology,
     cup_absolute,
     gysin_map,
+    homology_complex,
     long_exact_sequence,
     syntomic_complex,
 )
@@ -97,12 +97,13 @@ def cmd_abs(args) -> int:
     u = syntomic_complex(x.rgamma, i)
     uc = syntomic_complex(x.rgamma_c, i)
     degrees = sorted(set(u.total.dims) | set(uc.total.dims) | {0})
+    e_hom = homology_complex(x, i)
     payload = {"name": x.name, "twist": i, "cohomology": {}, "compact": {}, "homology": {}}
     lines = [f"absolute cohomology of {x.name}, twist {i}", "degree  H^n_abs  H^n_abs,c  H_n^abs"]
     for q in degrees:
         hn = u.dim(q)
         hc = uc.dim(q)
-        hm = abs_homology(x, q, i)
+        hm = e_hom.ext_dim(-q)
         payload["cohomology"][str(q)] = hn
         payload["compact"][str(q)] = hc
         payload["homology"][str(q)] = hm
@@ -147,13 +148,13 @@ def cmd_duality(args) -> int:
     payload = {"name": x.name, "twist": i, "degrees": {}}
     lines = [f"duality comparison for {x.name}, twist {i}", "degree  lhs  rhs  iso"]
     all_ok = True
-    for q in degrees:
-        rep = machine.report(q)
+    reports = [machine.report(q) for q in degrees]
+    for q, rep in zip(degrees, reports):
         ok = rep.passed
         all_ok = all_ok and ok
         payload["degrees"][str(q)] = {"lhs": rep.lhs_dim, "rhs": rep.rhs_dim, "passed": ok}
         lines.append(f"{q:>6}  {rep.lhs_dim:>3}  {rep.rhs_dim:>3}  {'yes' if ok else 'NO'}")
-    steps = machine.report(degrees[0]).steps
+    steps = reports[0].steps
     for name in sorted(steps):
         lines.append(f"step {name}: {'ok' if steps[name] else 'FAILED'}")
     payload["steps"] = steps

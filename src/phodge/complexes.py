@@ -7,14 +7,18 @@ at construction.  Sign conventions are fixed once here:
 * cone(f: A -> B) has degree-n term B^n (+) A^{n+1} and differential
   [[d_B, f], [0, -d_A]], making B -> cone and cone -> A[1] sign-free;
 * tensor uses the Koszul sign (-1)^i on the second factor's differential;
-* the Hom complex differential is d(f) = d_target o f - (-1)^n f o d_source.
+* the Hom complex differential is d(f) = d_target o f - (-1)^n f o d_source;
+* the truncation tau_{<=n} has the model Ker d^n at degree n and maps into the
+  complex by inclusion; tau_{>=n} has the model Im d^{n-1} ⊂ C^n at degree
+  n-1, receives the complex by projection, and degreewise maps act on that
+  term by their degree-n components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .linalg import Matrix, Subspace, assemble, kron
@@ -241,6 +245,76 @@ def shift_map(f: ChainMap, k: int) -> ChainMap:
     return ChainMap(
         shift(f.source, k), shift(f.target, k), {n - k: m for n, m in f.components.items()}, check=False
     )
+
+
+def subcomplex(c: Complex, spaces: Dict[int, Subspace]) -> Tuple[Complex, ChainMap]:
+    """The subcomplex spanned by spaces[n] ⊂ c^n, in the coordinates of each
+    basis, with its inclusion into c.  A missing degree is the zero space, and
+    d must carry every space into the next one."""
+    spaces = {n: s for n, s in spaces.items() if s.dim}
+    d = {}
+    for n, s in spaces.items():
+        d[n] = spaces.get(n + 1, Subspace.zero(c.dim(n + 1))).coords_matrix(c.diff(n) * s.basis)
+        if d[n] is None:
+            raise ValidationError(f"the differential at degree {n} leaves the subcomplex")
+    sub = Complex({n: s.dim for n, s in spaces.items()}, d, check=False)
+    return sub, ChainMap(sub, c, {n: s.basis for n, s in spaces.items()}, check=False)
+
+
+class Truncation:
+    """The canonical truncation tau_{<=n} ('le') or tau_{>=n} ('ge') of c.
+
+    spaces[q] is the degree-q term of the model, a subspace of c^{home(q)};
+    map is the canonical chain map, the inclusion model -> c for 'le' and the
+    projection c -> model for 'ge'.
+    """
+
+    __slots__ = ("source", "n", "side", "spaces", "complex", "map")
+
+    def __init__(self, c: Complex, n: int, side: str):
+        if side == "le":
+            spaces = {q: Subspace.full(k) for q, k in c.dims.items() if q < n}
+            spaces[n] = Subspace(c.dim(n), c.diff(n).kernel_basis())
+            model, canonical = subcomplex(c, spaces)
+        elif side == "ge":
+            spaces = {q: Subspace.full(k) for q, k in c.dims.items() if q >= n}
+            proj = {q: s.basis for q, s in spaces.items()}
+            dims = {q: c.dim(q) for q in spaces}
+            d = {q: m for q, m in c.d.items() if q >= n}
+            img = Subspace.from_matrix(c.diff(n - 1))
+            spaces[n - 1] = img
+            if img.dim:
+                dims[n - 1], d[n - 1] = img.dim, img.basis
+                proj[n - 1] = img.coords_matrix(c.diff(n - 1))
+            model = Complex(dims, d, check=False)
+            canonical = ChainMap(c, model, proj, check=False)
+        else:
+            raise ValidationError("side must be 'le' or 'ge'")
+        object.__setattr__(self, "source", c)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "spaces", {q: s for q, s in spaces.items() if s.dim})
+        object.__setattr__(self, "complex", model)
+        object.__setattr__(self, "map", canonical)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Truncation is immutable")
+
+    def home(self, q: int) -> int:
+        """The degree of the source that holds the degree-q model term: q,
+        except n for the 'ge' term Im d^{n-1} at degree n-1."""
+        return self.n if self.side == "ge" and q == self.n - 1 else q
+
+    def transport(self, f: Callable[[int], Matrix], target: "Truncation") -> Dict[int, Matrix]:
+        """The degreewise map f(q): c^q -> target.source^q on the models, in
+        their coordinates; f must carry each model term into target's."""
+        comps = {}
+        for q, s in self.spaces.items():
+            t = target.spaces.get(q, Subspace.zero(target.source.dim(target.home(q))))
+            comps[q] = t.coords_matrix(f(self.home(q)) * s.basis)
+            if comps[q] is None:
+                raise ValidationError("truncation: a structure map leaves the truncated model")
+        return comps
 
 
 def cone(f: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:

@@ -23,12 +23,12 @@ from typing import Dict, Sequence, Tuple
 
 from .complexes import (
     ChainMap,
-    Complex,
     cone,
     direct_sum,
     hom_complex,
     shift,
     shifted_cone_map,
+    subcomplex,
     sum_map,
     tensor,
 )
@@ -46,15 +46,14 @@ class FilteredHom:
     bases[n] is the degree-n subspace of the full Hom complex.  Its basis is
     block diagonal over the Hom slots, each block a kernel basis (or an
     identity), so every column has a unit row and the basis is kept as built
-    (canonical=True).
+    (canonical=True).  complex and inclusion are the subcomplex they span.
     """
 
-    __slots__ = ("full", "complex", "bases")
+    __slots__ = ("full", "complex", "bases", "inclusion")
 
     def __init__(self, src, tgt):
         full = hom_complex(src.carrier, tgt.carrier)
         bases: Dict[int, Subspace] = {}
-        dims: Dict[int, int] = {}
         for n in full.complex.dims:
             blocks = []
             cols = 0
@@ -77,23 +76,14 @@ class FilteredHom:
             if cols:
                 basis = assemble(full.complex.dim(n), cols, blocks)
                 bases[n] = Subspace(full.complex.dim(n), basis, canonical=True)
-                dims[n] = cols
-        d = {}
-        for n in dims:
-            if dims.get(n + 1, 0):
-                d[n] = bases[n + 1].coords_matrix(full.complex.diff(n) * bases[n].basis)
-                if d[n] is None:
-                    raise ValidationError(f"Hom differential at degree {n} does not preserve the filtration")
+        sub, incl = subcomplex(full.complex, bases)
         object.__setattr__(self, "full", full)
-        object.__setattr__(self, "complex", Complex(dims, d, check=False))
+        object.__setattr__(self, "complex", sub)
         object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "inclusion", incl)
 
     def __setattr__(self, *a):
         raise AttributeError("FilteredHom is immutable")
-
-    def inclusion(self) -> ChainMap:
-        comps = {n: space.basis for n, space in self.bases.items()}
-        return ChainMap(self.complex, self.full.complex, comps, check=False)
 
 
 class ExtComplex:
@@ -145,7 +135,7 @@ class ExtComplex:
         g_blocks = {
             (0, 0): h_rr.pre_compose(phi_src, h_rr),
             (1, 1): h_kk.pre_compose(m.c, h_rk),
-            (2, 2): h_dd.post_compose(m2.s, h_dk).compose(ff.inclusion()),
+            (2, 2): h_dd.post_compose(m2.s, h_dk).compose(ff.inclusion),
         }
         f_map = sum_map(gamma0, layout0, gamma1, layout1, f_blocks)
         g_map = sum_map(gamma0, layout0, gamma1, layout1, g_blocks)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .complexes import ChainMap, Complex
+from .complexes import ChainMap, Complex, Truncation, subcomplex
 from .errors import ValidationError
 from .linalg import Matrix, Subspace
 
@@ -142,21 +142,7 @@ class FilteredMap:
 
 def level_subcomplex(fc: FilteredComplex, i: int) -> Tuple[Complex, ChainMap]:
     """The subcomplex F^i in its own coordinates, with the inclusion."""
-    levels = {}
-    for n in fc.carrier.dims:
-        s = fc.level(n, i)
-        if s.dim:
-            levels[n] = s
-    d = {}
-    for n, s in levels.items():
-        if n + 1 in levels:
-            coords = levels[n + 1].coords_matrix(fc.carrier.diff(n) * s.basis)
-            if coords is None:
-                raise ValidationError(f"differential at degree {n} leaves filtration level {i}")
-            d[n] = coords
-    sub = Complex({n: s.dim for n, s in levels.items()}, d, check=False)
-    incl = ChainMap(sub, fc.carrier, {n: s.basis for n, s in levels.items()}, check=False)
-    return sub, incl
+    return subcomplex(fc.carrier, {n: fc.level(n, i) for n in fc.carrier.dims})
 
 
 class GradedPiece:
@@ -284,58 +270,31 @@ def is_filtered_quasi_iso(fm: FilteredMap) -> bool:
 
 
 def filtered_truncate(fc: FilteredComplex, n: int, side: str) -> FilteredComplex:
-    """Canonical truncations; 'le' keeps Ker(d^n) at degree n, 'ge' keeps the
-    coimage of the incoming differential at degree n-1 (image filtration)."""
-    c = fc.carrier
-    if side == "le":
-        dims = {}
-        recs: Dict[int, list] = {}
-        d: Dict[int, Matrix] = {}
-        ker = Subspace(c.dim(n), c.diff(n).kernel_basis())
-        for m in c.dims:
-            if m < n:
-                if c.dim(m):
-                    dims[m] = c.dim(m)
-                    recs[m] = list(fc.filtration.records.get(m, ()))
-                    if m + 1 < n and c.dim(m + 1):
-                        d[m] = c.diff(m)
-        if ker.dim:
-            dims[n] = ker.dim
-            if c.dim(n - 1):
-                d[n - 1] = ker.coords_matrix(c.diff(n - 1))
-                if d[n - 1] is None:
-                    raise ValidationError(f"d∘d != 0 between degrees {n - 1} and {n + 1}")
-            entry = []
-            for level in fc.filtration.jump_levels(n):
-                inter = fc.level(n, level).intersect(ker)
-                if inter.dim:
-                    entry.append((level, Subspace(ker.dim, ker.coords_matrix(inter.basis))))
-            recs[n] = jump_records(entry, ker.dim)
-        return FilteredComplex(Complex(dims, d, check=False), Filtration(dims, recs), check=False)
-    if side == "ge":
-        dims = {}
-        recs = {}
-        d = {}
-        img = Subspace.from_matrix(c.diff(n - 1))
-        for m in c.dims:
-            if m >= n and c.dim(m):
-                dims[m] = c.dim(m)
-                recs[m] = list(fc.filtration.records.get(m, ()))
-                if c.dim(m + 1):
-                    d[m] = c.diff(m)
-        if img.dim:
-            dims[n - 1] = img.dim
-            d[n - 1] = img.basis  # inclusion into degree n
-            # d^{n-1} in image coordinates; it carries each level onto its image
-            onto = img.coords_matrix(c.diff(n - 1))
-            entry = []
-            for level in fc.filtration.jump_levels(n - 1):
-                sub = Subspace(img.dim, onto * fc.level(n - 1, level).basis)
-                if sub.dim:
-                    entry.append((level, sub))
-            recs[n - 1] = jump_records(entry, img.dim)
-        return FilteredComplex(Complex(dims, d, check=False), Filtration(dims, recs), check=False)
-    raise ValidationError("side must be 'le' or 'ge'")
+    """The canonical truncation (see complexes.Truncation) with its induced
+    filtration."""
+    return truncated_filtration(fc, Truncation(fc.carrier, n, side))
+
+
+def truncated_filtration(fc: FilteredComplex, t: Truncation) -> FilteredComplex:
+    """fc's filtration on the model of t.  A model term that is a whole term
+    of fc keeps its records; Ker d^n gets the preimages of the levels under
+    the inclusion, Im d^{n-1} their images under the projection."""
+    recs: Dict[int, List[Tuple[int, Subspace]]] = {}
+    for q, space in t.spaces.items():
+        if t.home(q) == q and space.dim == fc.carrier.dim(q):
+            recs[q] = list(fc.filtration.records.get(q, ()))
+            continue
+        entry = []
+        for level in fc.filtration.jump_levels(q):
+            if t.side == "le":
+                basis = space.coords_matrix(fc.level(q, level).intersect(space).basis)
+            else:
+                basis = t.map.component(q) * fc.level(q, level).basis
+            sub = Subspace(space.dim, basis)
+            if sub.dim:
+                entry.append((level, sub))
+        recs[q] = jump_records(entry, space.dim)
+    return FilteredComplex(t.complex, Filtration(t.complex.dims, recs), check=False)
 
 
 def jump_records(entry: List[Tuple[int, Subspace]], dim: int) -> List[Tuple[int, Subspace]]:

@@ -55,18 +55,32 @@ def parse_dim(data, where: str) -> int:
     return value
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_CAP
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CAP = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < PRIME_CAP."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for b in _PRIME_BASES:
+        x = pow(b, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 2
     return True
 
 
@@ -254,6 +268,8 @@ class CoefficientFrame:
     sigma_generator_image: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.p >= PRIME_CAP:
+            raise ValidationError(f"p = {self.p} is not below {PRIME_CAP}, the bound of the exact primality test")
         if not _is_prime(self.p):
             raise ValidationError(f"p = {self.p} is not prime")
         if self.extension is None:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .complexes import (
     ChainMap,
     Complex,
     TensorComplex,
+    Truncation,
     cone,
     direct_sum,
     shift,
@@ -28,7 +29,7 @@ from .complexes import (
     tensor_map,
 )
 from .errors import PreconditionError, ValidationError
-from .filtered import FilteredComplex, FilteredMap, Filtration, filtered_truncate, is_filtered_quasi_iso, jump_records
+from .filtered import FilteredComplex, FilteredMap, Filtration, is_filtered_quasi_iso, jump_records, truncated_filtration
 from .frames import CoefficientFrame
 from .frobenius import FrobeniusComplex, sigma_matrix, twist_frobenius
 from .linalg import Matrix, Subspace, assemble, hstack, kron, vstack
@@ -418,76 +419,15 @@ def collapse_zigzag(z: Zigzag) -> PHodgeComplex:
 
 def truncate_phc(m: PHodgeComplex, n: int, side: str) -> PHodgeComplex:
     """Componentwise canonical truncation (filtered truncation on the dR side)."""
-    if side not in ("le", "ge"):
-        raise ValidationError("side must be 'le' or 'ge'")
-    dr = filtered_truncate(m.dr, n, side)
-    if side == "le":
-        rig_c, rig_basis = _truncate_le_model(m.rig.complex, n)
-        k_c, k_basis = _truncate_le_model(m.k, n)
-    else:
-        rig_c, rig_basis = _truncate_ge_model(m.rig.complex, n)
-        k_c, k_basis = _truncate_ge_model(m.k, n)
-
-    def at(q: int) -> int:
-        # the 'ge' model at n-1 is Im d^{n-1}, which lives in degree n, so the
-        # structure maps act there by their degree-n components
-        return max(q, n) if side == "ge" else q
-
-    phi = {q: _model_map(m.rig.phi_at(at(q)), rig_basis[q], rig_basis[q]) for q in rig_c.dims}
-    rig = FrobeniusComplex(m.frame, rig_c, phi, check=False)
-    c_comps = {q: _model_map(m.c.component(at(q)), rig_basis[q], k_basis.get(q)) for q in rig_c.dims}
-    dr_basis = _model_basis_of_truncated(m.dr, dr, side, n)
-    s_comps = {q: _model_map(m.s.component(at(q)), dr_basis[q], k_basis.get(q)) for q in dr.carrier.dims}
-    c = ChainMap(rig_c, k_c, c_comps, check=False)
-    s = ChainMap(dr.carrier, k_c, s_comps, check=False)
-    return PHodgeComplex(m.frame, rig, dr, k_c, c, s, check=False)
+    return phc_truncation(m, n, side)[0]
 
 
-def _truncate_le_model(c: Complex, n: int) -> Tuple[Complex, Dict[int, Subspace]]:
-    """tau_{<=n}: identity below n, kernel of d^n at n.  Returns the model
-    and per-degree subspaces of the original spaces."""
-    basis = {q: Subspace.full(c.dim(q)) for q in c.dims if q < n}
-    ker = Subspace(c.dim(n), c.diff(n).kernel_basis())
-    if ker.dim:
-        basis[n] = ker
-    d = {q: _model_map(c.diff(q), basis[q], basis[q + 1]) for q in basis if q + 1 in basis}
-    return Complex({q: s.dim for q, s in basis.items()}, d, check=False), basis
-
-
-def _truncate_ge_model(c: Complex, n: int) -> Tuple[Complex, Dict[int, Subspace]]:
-    """tau_{>=n}: image of d^{n-1} at degree n-1 (the coimage model), identity
-    from n on."""
-    basis = {}
-    d = {}
-    for q in c.dims:
-        if q >= n:
-            basis[q] = Subspace.full(c.dim(q))
-            if c.dim(q + 1):
-                d[q] = c.diff(q)
-    img = Subspace.from_matrix(c.diff(n - 1))
-    if img.dim:
-        basis[n - 1] = img
-        d[n - 1] = img.basis
-    return Complex({q: s.dim for q, s in basis.items()}, d, check=False), basis
-
-
-def _model_map(f: Matrix, src: Subspace, tgt: Optional[Subspace]) -> Matrix:
-    """f between two truncated models, in their basis coordinates; a missing
-    target is the zero space."""
-    if tgt is None:
-        return Matrix.zeros(0, src.dim)
-    coords = tgt.coords_matrix(f * src.basis)
-    if coords is None:
-        raise ValidationError("truncation: a structure map leaves the truncated model")
-    return coords
-
-
-def _model_basis_of_truncated(orig: FilteredComplex, trunc: FilteredComplex, side: str, n: int) -> Dict[int, Subspace]:
-    basis = {}
-    c = orig.carrier
-    for q in trunc.carrier.dims:
-        if side == "le":
-            basis[q] = Subspace.full(c.dim(q)) if q < n else Subspace(c.dim(n), c.diff(n).kernel_basis())
-        else:
-            basis[q] = Subspace.full(c.dim(q)) if q >= n else Subspace.from_matrix(c.diff(n - 1))
-    return basis
+def phc_truncation(m: PHodgeComplex, n: int, side: str) -> Tuple[PHodgeComplex, Tuple[Truncation, ...]]:
+    """truncate_phc with the truncations of the rig, k and dR components,
+    whose maps are the canonical ones."""
+    rig_t, k_t, dr_t = (Truncation(c, n, side) for c in (m.rig.complex, m.k, m.dr.carrier))
+    rig = FrobeniusComplex(m.frame, rig_t.complex, rig_t.transport(m.rig.phi_at, rig_t), check=False)
+    c = ChainMap(rig_t.complex, k_t.complex, rig_t.transport(m.c.component, k_t), check=False)
+    s = ChainMap(dr_t.complex, k_t.complex, dr_t.transport(m.s.component, k_t), check=False)
+    dr = truncated_filtration(m.dr, dr_t)
+    return PHodgeComplex(m.frame, rig, dr, k_t.complex, c, s, check=False), (rig_t, k_t, dr_t)

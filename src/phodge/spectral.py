@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .complexes import ChainMap, Complex
 from .errors import ValidationError
-from .filtered import FilteredComplex
+from .filtered import FilteredComplex, Filtration
 from .linalg import Matrix, Subspace, assemble
 
 
@@ -133,44 +133,15 @@ class SpectralPage:
         return {k: e.dim for k, e in self.entries.items() if e.dim}
 
 
-class _FiltrationData:
-    """Level subspaces of a filtered (by subcomplexes) bounded complex."""
-
-    def __init__(self, total: Complex, level_at, p_min: int, p_max: int):
-        self.total = total
-        self.level_at = level_at  # (n, p) -> Subspace
-        self.p_min = p_min
-        self.p_max = p_max
-
-    def level(self, n: int, p: int) -> Subspace:
-        if p <= self.p_min:
-            return Subspace.full(self.total.dim(n))
-        if p > self.p_max:
-            return Subspace.zero(self.total.dim(n))
-        return self.level_at(n, p)
-
-
-def _column_filtration(dc: DoubleComplex, total: Complex, layout: TotalLayout) -> _FiltrationData:
-    p_min, p_max = dc.p_range()
-
-    def level_at(n: int, p: int) -> Subspace:
-        # blocks run by ascending p, so the blocks with p' >= p fill the trailing coordinates
+def _column_filtration(total: Complex, layout: TotalLayout) -> Filtration:
+    """F^p of the total complex: the blocks with p' >= p, which run by
+    ascending p and so fill the trailing coordinates."""
+    records = {}
+    for n, blocks in layout.blocks.items():
         dim = total.dim(n)
-        start = next((off for bp, bq, off, k in layout.blocks.get(n, ()) if bp >= p), dim)
-        return Subspace(dim, assemble(dim, dim - start, [(start, 0, Matrix.identity(dim - start))]), canonical=True)
-
-    return _FiltrationData(total, level_at, p_min, p_max)
-
-
-def _filtered_complex_filtration(fc: FilteredComplex) -> _FiltrationData:
-    levels = fc.filtration.all_levels()
-    p_min = min(levels) if levels else 0
-    p_max = max(levels) if levels else 0
-
-    def level_at(n: int, p: int) -> Subspace:
-        return fc.level(n, p)
-
-    return _FiltrationData(fc.carrier, level_at, p_min, p_max)
+        trailing = [(p, assemble(dim, dim - off, [(off, 0, Matrix.identity(dim - off))])) for p, _, off, _ in blocks]
+        records[n] = [(p, Subspace(dim, basis, canonical=True)) for p, basis in trailing]
+    return Filtration(total.dims, records)
 
 
 def _preimage(d: Matrix, target: Subspace) -> Subspace:
@@ -180,15 +151,16 @@ def _preimage(d: Matrix, target: Subspace) -> Subspace:
     return Subspace(d.cols, comp.kernel_basis())
 
 
-def _z_space(f: _FiltrationData, n: int, p: int, r: int) -> Subspace:
-    d = f.total.diff(n)
+def _z_space(f: FilteredComplex, n: int, p: int, r: int) -> Subspace:
+    d = f.carrier.diff(n)
     return f.level(n, p).intersect(_preimage(d, f.level(n + 1, p + r)))
 
 
-def _pages_generic(f: _FiltrationData, r_max: Optional[int] = None) -> List[SpectralPage]:
-    total = f.total
+def _pages_generic(f: FilteredComplex, r_max: Optional[int] = None) -> List[SpectralPage]:
+    total = f.carrier
     degrees = sorted(total.dims) if total.dims else []
-    p_lo, p_hi = f.p_min, f.p_max
+    levels = f.filtration.all_levels()
+    p_lo, p_hi = (levels[0], levels[-1]) if levels else (0, 0)
     width = (p_hi - p_lo) + 1
     if r_max is None:
         r_max = width + 1
@@ -246,13 +218,12 @@ def pages(dc: DoubleComplex, direction: str = "col", r_max: Optional[int] = None
     elif direction != "col":
         raise ValidationError("direction must be 'col' or 'row'")
     total, layout = total_complex(dc)
-    f = _column_filtration(dc, total, layout)
-    return _pages_generic(f, r_max)
+    return _pages_generic(FilteredComplex(total, _column_filtration(total, layout), check=False), r_max)
 
 
 def filtration_pages(fc: FilteredComplex, r_max: Optional[int] = None) -> List[SpectralPage]:
     """The filtration spectral sequence of a filtered complex."""
-    return _pages_generic(_filtered_complex_filtration(fc), r_max)
+    return _pages_generic(fc, r_max)
 
 
 def convergence_check(dc: DoubleComplex, direction: str = "col") -> bool:

@@ -250,7 +250,7 @@ def test_pairing_square_on_cohomology(p1_datum, elliptic_datum):
 def test_pairing_hom_matches_unit_vector_route(p1_datum, elliptic_datum):
     """Column k of the assembled pairing matrix is the Hom element of e_k:
     y -> trunc(pairing(e_k (x) pre(y))), packed slot by slot."""
-    from phodge.absolute import _pairing_hom, _truncation_projection
+    from phodge.absolute import _pairing_hom
     from phodge.complexes import ChainMap, hom_complex, tensor
     from phodge.linalg import assemble, kron
 
@@ -278,12 +278,14 @@ def test_pairing_hom_matches_unit_vector_route(p1_datum, elliptic_datum):
         m, n = datum.rgamma, datum.rgamma_c
         for i in (0, 1):
             dm = DualityMachine(datum, i)
-            e1, top = dm.e_p1, dm.top
-            rig = (tensor(m.rig.complex, n.rig.complex), datum.pairing.rig,
-                   _truncation_projection(n.rig.complex, dm.p1.rig.complex, top))
-            k = (tensor(m.k, n.k), datum.pairing.k, _truncation_projection(n.k, dm.p1.k, top))
-            dr = (tensor(m.dr.carrier, n.dr.carrier), datum.pairing.dr,
-                  _truncation_projection(n.dr.carrier, dm.p1.dr.carrier, top))
+            e1 = dm.e_p1
+            # the projections N -> P1 = tau_{>= 2d} N of the rig, k and dR components
+            trunc_rig, trunc_k, trunc_dr = (t.map for t in dm.trunc_p1)
+            ends = [(t.source, t.target) for t in (trunc_rig, trunc_k, trunc_dr)]
+            assert ends == [(n.rig.complex, dm.p1.rig.complex), (n.k, dm.p1.k), (n.dr.carrier, dm.p1.dr.carrier)]
+            rig = (tensor(m.rig.complex, n.rig.complex), datum.pairing.rig, trunc_rig)
+            k = (tensor(m.k, n.k), datum.pairing.k, trunc_k)
+            dr = (tensor(m.dr.carrier, n.dr.carrier), datum.pairing.dr, trunc_dr)
             check(e1.h_rr, *rig, None)
             check(e1.h_kk, *k, None)
             check(e1.h_dd, *dr, None)

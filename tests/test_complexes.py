@@ -6,17 +6,19 @@ import pytest
 from phodge.complexes import (
     ChainMap,
     Complex,
+    Truncation,
     cone,
     direct_sum,
     hom_complex,
     shift,
+    subcomplex,
     tensor,
     tensor_map,
 )
 from phodge.errors import ValidationError
-from phodge.linalg import Matrix
+from phodge.linalg import Matrix, Subspace
 
-from helpers import rand_chain_map, rand_complex, rand_chain_self_map
+from helpers import rand_chain_map, rand_chain_self_map, rand_complex, rand_filtered_complex
 
 
 def test_dd_zero_enforced():
@@ -181,3 +183,62 @@ def test_dd_revalidated_after_functors_random():
         f = rand_chain_map(rng, a, b)
         for c in (shift(a, 1), cone(f)[0], tensor(a, b).complex, hom_complex(a, b).complex):
             Complex(c.dims, c.d)
+
+
+def test_truncation_canonical_map_is_quasi_iso_in_window():
+    """tau_{<=n} -> C and C -> tau_{>=n} revalidate as chain maps, induce
+    isomorphisms on H^q inside the window, and the model is acyclic outside."""
+    rng = random.Random(611)
+    carriers = [rand_complex(rng, -1, 2, 3) for _ in range(12)]
+    carriers += [rand_filtered_complex(rng, -1, 2, 3).carrier for _ in range(12)]
+    for c in carriers:
+        for n in range(-2, 4):
+            for side in ("le", "ge"):
+                t = Truncation(c, n, side)
+                canonical = ChainMap(t.map.source, t.map.target, t.map.components, check=True)
+                assert (canonical.source, canonical.target) == ((t.complex, c) if side == "le" else (c, t.complex))
+                for q in range(-3, 5):
+                    h_model = t.complex.cohomology(q).dim
+                    if not (q <= n if side == "le" else q >= n):
+                        assert h_model == 0, (n, side, q)
+                        continue
+                    assert h_model == c.cohomology(q).dim, (n, side, q)
+                    if h_model:
+                        assert canonical.induced_on_cohomology(q).rank == h_model, (n, side, q)
+
+
+def test_truncation_transports_chain_maps_onto_models():
+    rng = random.Random(612)
+    for _ in range(10):
+        a, b = rand_complex(rng, -1, 2, 3), rand_complex(rng, -1, 2, 3)
+        f = rand_chain_map(rng, a, b)
+        for n in range(-1, 3):
+            for side in ("le", "ge"):
+                ta, tb = Truncation(a, n, side), Truncation(b, n, side)
+                g = ChainMap(ta.complex, tb.complex, ta.transport(f.component, tb), check=True)
+                # the canonical maps commute with f and its transport
+                if side == "le":
+                    assert tb.map.compose(g).components == f.compose(ta.map).components
+                else:
+                    assert g.compose(ta.map).components == tb.map.compose(f).components
+
+
+def test_subcomplex_inclusion_and_rejection():
+    c = Complex({0: 1, 1: 2}, {0: Matrix(2, 1, [[F(1)], [F(0)]])})
+    sub, incl = subcomplex(c, {0: Subspace.full(1), 1: Subspace.full(2)})
+    assert sub == c and incl.components == ChainMap.identity(c).components
+    sub, incl = subcomplex(c, {1: Subspace(2, Matrix(2, 1, [[F(0)], [F(1)]]))})
+    assert sub.dims == {1: 1}
+    ChainMap(sub, c, incl.components, check=True)
+    # d e^0 = e^1_0 lies neither in the span of e^1_1 nor in a missing (zero) space
+    for spaces in ({0: Subspace.full(1), 1: Subspace(2, Matrix(2, 1, [[F(0)], [F(1)]]))}, {0: Subspace.full(1)}):
+        with pytest.raises(ValidationError):
+            subcomplex(c, spaces)
+    rng = random.Random(613)
+    for _ in range(20):
+        x = rand_filtered_complex(rng, -1, 1, 3).carrier
+        for n in x.d:
+            cycles, _ = subcomplex(x, {n: Subspace(x.dim(n), x.diff(n).kernel_basis())})
+            assert cycles.dim(n) == x.dim(n) - x.diff(n).rank
+            with pytest.raises(ValidationError):
+                subcomplex(x, {n: Subspace.full(x.dim(n))})

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from phodge.complexes import ChainMap, Complex
+from phodge.complexes import ChainMap, Complex, Truncation
 from phodge.errors import ValidationError
 from phodge.filtered import (
     FilteredComplex,
@@ -123,6 +123,22 @@ def test_truncation_cohomology_window():
         dbl = filtered_truncate(filtered_truncate(fc, n, "ge"), n, "le")
         assert dbl.carrier.cohomology(n).dim == fc.carrier.cohomology(n).dim
         assert sum(dbl.carrier.cohomology(q).dim for q in range(-1, 4)) == fc.carrier.cohomology(n).dim
+
+
+def test_truncation_canonical_map_is_a_filtered_map():
+    """The inclusion of the 'le' model and the projection onto the 'ge' model
+    preserve the induced filtration, which filtered_truncate carries."""
+    rng = random.Random(36)
+    for _ in range(12):
+        fc = rand_filtered_complex(rng, lo=-1, hi=2, max_dim=3)
+        for n in range(-1, 3):
+            for side in ("le", "ge"):
+                t = Truncation(fc.carrier, n, side)
+                model = filtered_truncate(fc, n, side)
+                assert model.carrier == t.complex
+                FilteredComplex(model.carrier, model.filtration, check=True)
+                canonical = ChainMap(t.map.source, t.map.target, t.map.components, check=True)
+                FilteredMap(*((model, fc) if side == "le" else (fc, model)), canonical)
 
 
 def test_truncation_composition_dims():

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used in it."""
+"""Source hygiene: every name a module of the package imports is used in it,
+and every module-level private function or class is used somewhere."""
 
 import ast
 from pathlib import Path
@@ -41,6 +42,43 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _references(node: ast.AST):
+    """Every name node refers to: names, attributes, imported names and
+    names inside annotations."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.returns is not None:
+            yield from _annotation_names(sub.returns)
+        elif isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation is not None:
+            yield from _annotation_names(sub.annotation)
+
+
+def orphaned_private_definitions(sources):
+    """(module, name) of each module-level _private function or class that
+    no module references outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    counts = {}
+    for tree in trees.values():
+        for name in _references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            inside = sum(1 for name in _references(node) if name == node.name)
+            if counts.get(node.name, 0) == inside:
+                found.append((module, node.name))
+    return sorted(found)
+
+
 def test_checker_sees_unused_and_string_annotation_uses():
     source = (
         "from typing import Optional\n"
@@ -59,3 +97,27 @@ def test_no_unused_imports_in_src():
         if unused:
             found[path.name] = unused
     assert not found, found
+
+
+def test_orphan_checker_sees_self_references_and_other_modules():
+    sources = {
+        "a": (
+            "def _orphan(n):\n"
+            "    return _orphan(n - 1) if n else 0\n"
+            "def _used():\n"
+            "    return 1\n"
+            "class _Annotated:\n"
+            "    pass\n"
+            "def _only_in_b():\n"
+            "    return 2\n"
+            "def public(x: '_Annotated') -> int:\n"
+            "    return _used()\n"
+        ),
+        "b": "from .a import _only_in_b\n",
+    }
+    assert orphaned_private_definitions(sources) == [("a", "_orphan")]
+
+
+def test_no_orphaned_private_definitions_in_src():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert not orphaned_private_definitions(sources)

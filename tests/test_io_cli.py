@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from phodge import io as pio
 from phodge.absolute import GeometricDatum
 from phodge.cli import main
 from phodge.errors import ValidationError
+from phodge.frames import PRIME_CAP, _is_prime
 from phodge.godement import FiniteSite
 from phodge.phc import PHodgeComplex, Zigzag, collapse_zigzag
 from phodge.spectral import DoubleComplex
@@ -247,3 +249,38 @@ def test_cli_golden_outputs_byte_stable():
     for args, a, b in zip(GOLDEN_COMMANDS, first, second):
         assert a.returncode == 0, (args, a.stderr)
         assert a.stdout == b.stdout and a.stderr == b.stderr, args
+
+
+def _set_p(value):
+    def edit(data):
+        data["frame"]["p"] = value
+
+    return edit
+
+
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    def by_trial_division(n):
+        return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+    assert all(_is_prime(n) == by_trial_division(n) for n in range(-2, 5000))
+    # strong pseudoprimes to every prime base up to 23 and up to 37
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
+
+
+def test_cli_validates_a_61_bit_prime_quickly(tmp_path, capsys):
+    path = _edited_corpus_file(tmp_path, "tate0.phc", _set_p(2**61 - 1))
+    start = time.perf_counter()
+    assert main(["validate", path]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "valid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", [PRIME_CAP, 2**89 - 1])
+def test_cli_rejects_p_beyond_the_primality_cap(tmp_path, capsys, p):
+    path = _edited_corpus_file(tmp_path, "tate0.phc", _set_p(str(p)))
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(PRIME_CAP) in captured.err and "Traceback" not in captured.err

@@ -162,11 +162,11 @@ class LESReport:
         return all(j.composite_zero and j.exact for j in self.joints)
 
 
-def long_exact_sequence(m: PHodgeComplex, n: int, variant: str = "rigid") -> LESReport:
-    """The cohomology sequence of the unit cone, rewritten through the
+def long_exact_sequence(u: SyntomicCone, variant: str = "rigid") -> LESReport:
+    """The cohomology sequence of the unit cone u, rewritten through the
     specialization (variant 'rigid', needs c a quasi-isomorphism) or the
     cospecialization (variant 'derham', needs s a quasi-isomorphism)."""
-    u = SyntomicCone(m, n)
+    m, n = u.phc, u.twist
     if variant == "rigid":
         comp = m.c
     elif variant == "derham":
@@ -430,7 +430,7 @@ def _perfect_pairing_checks(x: GeometricDatum) -> None:
             if hm.dim == 0:
                 continue
             # column s * hn.dim + t is the pure tensor of representatives s and t
-            off, _ = t.block_offset(top, a)
+            off, _ = t.layout.offset(top, a)
             pure = assemble(t.complex.dim(top), hm.dim * hn.dim, [(off, 0, kron(hm.representatives, hn.representatives))])
             pairing = pi.get(top, Matrix.zeros(comp_n.dim(top), t.complex.dim(top)))
             values = (tr * pairing * pure).entries[0]
@@ -722,7 +722,7 @@ def _pairing_hom(hom_node, a: int, pairing: Dict[int, Matrix], t, trunc: ChainMa
             pre = pre_maps.get(q)
             if pre is None:
                 continue
-        found = t.block_offset(a + q, a)
+        found = t.layout.offset(a + q, a)
         pi = pairing.get(a + q)
         if found is None or pi is None:
             continue

@@ -24,12 +24,13 @@ from .absolute import (
     long_exact_sequence,
     syntomic_complex,
 )
+from .complexes import DoubleComplex, total_complex
 from .errors import PreconditionError, ValidationError
 from .ext import ExtComplex
 from .frames import parse_rational
 from .godement import FiniteSite, sheaf_cohomology
 from .phc import PHodgeComplex
-from .spectral import DoubleComplex, pages, total_complex
+from .spectral import pages
 
 
 def _emit(args, payload: Dict, text_lines: List[str]) -> None:
@@ -109,11 +110,11 @@ def cmd_abs(args) -> int:
         payload["homology"][str(q)] = hm
         lines.append(f"{q:>6}  {hn:>8}  {hc:>9}  {hm:>7}")
     if x.flags.c_quasi_iso:
-        rep = long_exact_sequence(x.rgamma, i, "rigid")
+        rep = long_exact_sequence(u, "rigid")
         payload["les_rigid_exact"] = rep.exact
         lines.extend(_les_lines(rep))
     if x.flags.s_quasi_iso:
-        rep = long_exact_sequence(x.rgamma_c, i, "derham")
+        rep = long_exact_sequence(uc, "derham")
         payload["les_derham_compact_exact"] = rep.exact
         lines.extend(_les_lines(rep))
     _emit(args, payload, lines)
@@ -125,7 +126,7 @@ def cmd_les(args) -> int:
     if not isinstance(x, GeometricDatum):
         raise ValidationError("les expects a geometric datum file")
     m = x.rgamma_c if args.compact else x.rgamma
-    rep = long_exact_sequence(m, args.twist, args.variant)
+    rep = long_exact_sequence(syntomic_complex(m, args.twist), args.variant)
     payload = {
         "name": x.name,
         "twist": args.twist,

@@ -6,7 +6,12 @@ at construction.  Sign conventions are fixed once here:
 * shift(c, k) has degree-n term c^{n+k} and differential (-1)^k d;
 * cone(f: A -> B) has degree-n term B^n (+) A^{n+1} and differential
   [[d_B, f], [0, -d_A]], making B -> cone and cone -> A[1] sign-free;
-* tensor uses the Koszul sign (-1)^i on the second factor's differential;
+* the total complex of a double complex has degree-n term
+  (+)_{p+q=n} A^{p,q} with the blocks in ascending p, and d = dh + dv; a grid
+  whose squares commute becomes a double complex by signing the vertical maps
+  of column p by (-1)^p (DoubleComplex.commuting);
+* tensor(a, b) is the total complex of the commuting grid a^i (x) b^j, so the
+  second factor's differential carries the Koszul sign (-1)^i;
 * the Hom complex differential is d(f) = d_target o f - (-1)^n f o d_source;
 * the truncation tau_{<=n} has the model Ker d^n at degree n and maps into the
   complex by inclusion; tau_{>=n} has the model Im d^{n-1} ⊂ C^n at degree
@@ -428,58 +433,137 @@ def sum_projection(parts: Sequence[Complex], total: Complex, layout: SumLayout, 
     return ChainMap(total, p, comps, check=False)
 
 
-class TensorComplex:
-    """Tensor product with block bookkeeping: degree n = (+)_{i+j=n} a^i (x) b^j."""
+class DoubleComplex:
+    """Bigraded spaces with anticommuting horizontal and vertical differentials."""
 
-    __slots__ = ("a", "b", "complex", "blocks")
+    __slots__ = ("spaces", "dh", "dv")
+
+    def __init__(self, spaces: Dict[Tuple[int, int], int], dh: Dict[Tuple[int, int], Matrix], dv: Dict[Tuple[int, int], Matrix], *, check: bool = True):
+        spaces = {(int(p), int(q)): int(k) for (p, q), k in spaces.items() if k > 0}
+        dh = {k: m for k, m in dh.items() if not m.is_zero()}
+        dv = {k: m for k, m in dv.items() if not m.is_zero()}
+        object.__setattr__(self, "spaces", spaces)
+        object.__setattr__(self, "dh", dh)
+        object.__setattr__(self, "dv", dv)
+        if check:
+            for (p, q), m in dh.items():
+                if m.rows != self.dim(p + 1, q) or m.cols != self.dim(p, q):
+                    raise ValidationError(f"horizontal differential at {(p, q)} has the wrong shape")
+            for (p, q), m in dv.items():
+                if m.rows != self.dim(p, q + 1) or m.cols != self.dim(p, q):
+                    raise ValidationError(f"vertical differential at {(p, q)} has the wrong shape")
+            for (p, q) in spaces:
+                if not (self.dh_at(p + 1, q) * self.dh_at(p, q)).is_zero():
+                    raise ValidationError(f"dh∘dh != 0 at {(p, q)}")
+                if not (self.dv_at(p, q + 1) * self.dv_at(p, q)).is_zero():
+                    raise ValidationError(f"dv∘dv != 0 at {(p, q)}")
+                anti = self.dh_at(p, q + 1) * self.dv_at(p, q) + self.dv_at(p + 1, q) * self.dh_at(p, q)
+                if not anti.is_zero():
+                    raise ValidationError(f"differentials do not anticommute at {(p, q)}")
+
+    def __setattr__(self, *a):
+        raise AttributeError("DoubleComplex is immutable")
+
+    @staticmethod
+    def commuting(
+        spaces: Dict[Tuple[int, int], int],
+        dh: Dict[Tuple[int, int], Matrix],
+        dv: Dict[Tuple[int, int], Matrix],
+        *,
+        check: bool = True,
+    ) -> "DoubleComplex":
+        """The double complex of a grid whose squares commute: the vertical
+        maps of column p are signed by (-1)^p, so that the squares anticommute."""
+        signed = {(p, q): -m if p % 2 else m for (p, q), m in dv.items()}
+        return DoubleComplex(spaces, dh, signed, check=check)
+
+    def dim(self, p: int, q: int) -> int:
+        return self.spaces.get((p, q), 0)
+
+    def dh_at(self, p: int, q: int) -> Matrix:
+        m = self.dh.get((p, q))
+        return m if m is not None else Matrix.zeros(self.dim(p + 1, q), self.dim(p, q))
+
+    def dv_at(self, p: int, q: int) -> Matrix:
+        m = self.dv.get((p, q))
+        return m if m is not None else Matrix.zeros(self.dim(p, q + 1), self.dim(p, q))
+
+    def transpose(self) -> "DoubleComplex":
+        spaces = {(q, p): k for (p, q), k in self.spaces.items()}
+        dh = {(q, p): m for (p, q), m in self.dv.items()}
+        dv = {(q, p): m for (p, q), m in self.dh.items()}
+        return DoubleComplex(spaces, dh, dv, check=False)
+
+    def p_range(self) -> Tuple[int, int]:
+        ps = [p for p, _ in self.spaces]
+        return (min(ps), max(ps)) if ps else (0, 0)
+
+
+@dataclass(frozen=True)
+class TotalLayout:
+    blocks: Dict[int, Tuple[Tuple[int, int, int, int], ...]]  # n -> ((p, q, offset, dim), ...)
+
+    def offset(self, n: int, p: int) -> Optional[Tuple[int, int]]:
+        for bp, bq, off, k in self.blocks.get(n, ()):
+            if bp == p:
+                return off, k
+        return None
+
+
+def total_complex(dc: DoubleComplex) -> Tuple[Complex, TotalLayout]:
+    """Degree n part (+)_{p+q=n} A^{p,q} (blocks by ascending p), d = dh + dv."""
+    blocks: Dict[int, List[Tuple[int, int, int, int]]] = {}
+    dims: Dict[int, int] = {}
+    for n in sorted({p + q for p, q in dc.spaces}):
+        off = 0
+        entry = []
+        for p in sorted({p for p, q in dc.spaces if p + q == n}):
+            k = dc.dim(p, n - p)
+            entry.append((p, n - p, off, k))
+            off += k
+        blocks[n] = entry
+        dims[n] = off
+    d = {}
+    for n in dims:
+        if not dims.get(n + 1, 0):
+            continue
+        tgt = {p: off for p, q, off, k in blocks[n + 1]}
+        placed = []
+        for p, q, off, k in blocks[n]:
+            if (p + 1) in tgt:
+                placed.append((tgt[p + 1], off, dc.dh_at(p, q)))
+            if p in tgt:
+                placed.append((tgt[p], off, dc.dv_at(p, q)))
+        d[n] = assemble(dims[n + 1], dims[n], placed)
+    total = Complex(dims, d)
+    return total, TotalLayout({n: tuple(v) for n, v in blocks.items()})
+
+
+class TensorComplex:
+    """a (x) b as the total complex of the commuting grid a^i (x) b^j, with
+    horizontal maps d_a (x) 1 and vertical maps 1 (x) d_b; layout places the
+    block (i, j) inside degree i + j."""
+
+    __slots__ = ("a", "b", "complex", "layout")
 
     def __init__(self, a: Complex, b: Complex):
+        spaces = {(i, j): a.dim(i) * b.dim(j) for i in a.dims for j in b.dims}
+        dh = {(i, j): kron(m, Matrix.identity(b.dim(j))) for i, m in a.d.items() for j in b.dims}
+        dv = {(i, j): kron(Matrix.identity(a.dim(i)), m) for i in a.dims for j, m in b.d.items()}
+        total, layout = total_complex(DoubleComplex.commuting(spaces, dh, dv, check=False))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        blocks: Dict[int, List[Tuple[int, int, int]]] = {}
-        dims: Dict[int, int] = {}
-        for n in range(a.lo + b.lo, a.hi + b.hi + 1) if a.dims and b.dims else []:
-            off = 0
-            entry = []
-            for i in sorted(a.dims):
-                j = n - i
-                if b.dim(j):
-                    entry.append((i, j, off))
-                    off += a.dim(i) * b.dim(j)
-            if entry:
-                blocks[n] = entry
-                dims[n] = off
-        d = {}
-        for n in dims:
-            if dims.get(n + 1, 0):
-                tgt_off = {(i, j): o for i, j, o in blocks[n + 1]}
-                placed = []
-                for i, j, off in blocks[n]:
-                    # d_a (x) 1 into block (i+1, j)
-                    if (i + 1, j) in tgt_off and a.dim(i + 1):
-                        placed.append((tgt_off[(i + 1, j)], off, kron(a.diff(i), Matrix.identity(b.dim(j)))))
-                    # (-1)^i  1 (x) d_b into block (i, j+1)
-                    if (i, j + 1) in tgt_off and b.dim(j + 1):
-                        m = kron(Matrix.identity(a.dim(i)), b.diff(j))
-                        placed.append((tgt_off[(i, j + 1)], off, m if i % 2 == 0 else -m))
-                d[n] = assemble(dims[n + 1], dims[n], placed)
-        object.__setattr__(self, "complex", Complex(dims, d, check=False))
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "complex", total)
+        object.__setattr__(self, "layout", layout)
 
     def __setattr__(self, *a):
         raise AttributeError("TensorComplex is immutable")
-
-    def block_offset(self, n: int, i: int) -> Optional[Tuple[int, int]]:
-        for bi, bj, off in self.blocks.get(n, []):
-            if bi == i:
-                return off, self.a.dim(bi) * self.b.dim(bj)
-        return None
 
     def pure_tensor(self, i: int, x: Sequence, j: int, y: Sequence) -> Tuple:
         """Coordinates of x (x) y placed in degree i + j."""
         n = i + j
         vec = [ZERO] * self.complex.dim(n)
-        found = self.block_offset(n, i)
+        found = self.layout.offset(n, i)
         if found is None:
             raise ValidationError("tensor block absent")
         off, size = found
@@ -500,11 +584,12 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     src = TensorComplex(f.source, g.source)
     tgt = TensorComplex(f.target, g.target)
     comps = {}
-    for n, blks in src.blocks.items():
-        tgt_off = {(i, j): o for i, j, o in tgt.blocks.get(n, [])}
-        placed = [
-            (tgt_off[(i, j)], off, kron(f.component(i), g.component(j))) for i, j, off in blks if (i, j) in tgt_off
-        ]
+    for n, blocks in src.layout.blocks.items():
+        placed = []
+        for i, j, off, _ in blocks:
+            found = tgt.layout.offset(n, i)
+            if found is not None:
+                placed.append((found[0], off, kron(f.component(i), g.component(j))))
         comps[n] = assemble(tgt.complex.dim(n), src.complex.dim(n), placed)
     return ChainMap(src.complex, tgt.complex, comps, check=False)
 

@@ -11,12 +11,11 @@ and an independent nerve (Cech-style) oracle over strict chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .complexes import ChainMap, Complex
+from .complexes import ChainMap, Complex, DoubleComplex, total_complex
 from .errors import PreconditionError, ValidationError
 from .linalg import Matrix, Subspace, assemble, kron, vstack
-from .spectral import DoubleComplex, total_complex
 
 
 class FiniteSite:
@@ -254,14 +253,19 @@ def pushforward_from_points(site: FiniteSite, family: Dict[str, int]) -> Sheaf:
     return Sheaf(site, values, maps, check=False)
 
 
+def _offsets(sizes: Iterable[Tuple[Hashable, int]]) -> Tuple[Dict[Hashable, Tuple[int, int]], int]:
+    """{key: (offset, dim)} of blocks of the given sizes laid end to end in
+    order, and their total dimension."""
+    offs = {}
+    total = 0
+    for key, k in sizes:
+        offs[key] = (total, k)
+        total += k
+    return offs, total
+
+
 def _point_offsets(site: FiniteSite, family: Dict[str, int], x: str) -> Dict[str, Tuple[int, int]]:
-    out = {}
-    off = 0
-    for p in site.points_above(x):
-        k = family.get(p, 0)
-        out[p] = (off, k)
-        off += k
-    return out
+    return _offsets((p, family.get(p, 0)) for p in site.points_above(x))[0]
 
 
 def t_sheaf(f: Sheaf) -> Sheaf:
@@ -473,11 +477,7 @@ def pullback_bar_is_quasi_iso(f: Sheaf, length: Optional[int] = None) -> bool:
 def sections(f: Sheaf) -> Tuple[Subspace, Dict[str, Tuple[int, int]]]:
     """lim over the poset as a subspace of the sum of values."""
     site = f.site
-    offs = {}
-    total = 0
-    for x in site.elements:
-        offs[x] = (total, f.dim(x))
-        total += f.dim(x)
+    offs, total = _offsets((x, f.dim(x)) for x in site.elements)
     return _compatible_families(f, site.hasse, offs, total), offs
 
 
@@ -525,22 +525,13 @@ def _sections_double_complex(
     sections of a grid of sheaves.
 
     dh_maps[(i, j)] runs from grid[(i, j)] to grid[(i + 1, j)] and
-    dv_maps[(i, j)] to grid[(i, j + 1)]; the vertical maps are signed by the
-    parity of i so that the squares anticommute.
+    dv_maps[(i, j)] to grid[(i, j + 1)], and the squares commute.
     """
     secs = {ij: sections(f) for ij, f in grid.items()}
-    spaces = {ij: s.dim for ij, (s, _) in secs.items() if s.dim}
-    dh: Dict[Tuple[int, int], Matrix] = {}
-    dv: Dict[Tuple[int, int], Matrix] = {}
-    for (i, j), g in dh_maps.items():
-        m = sections_map(g, *secs[(i, j)], *secs[(i + 1, j)])
-        if not m.is_zero():
-            dh[(i, j)] = m
-    for (i, j), g in dv_maps.items():
-        m = sections_map(g, *secs[(i, j)], *secs[(i, j + 1)])
-        if not m.is_zero():
-            dv[(i, j)] = m if i % 2 == 0 else -m
-    total, _ = total_complex(DoubleComplex(spaces, dh, dv))
+    spaces = {ij: s.dim for ij, (s, _) in secs.items()}
+    dh = {(i, j): sections_map(g, *secs[(i, j)], *secs[(i + 1, j)]) for (i, j), g in dh_maps.items()}
+    dv = {(i, j): sections_map(g, *secs[(i, j)], *secs[(i, j + 1)]) for (i, j), g in dv_maps.items()}
+    total, _ = total_complex(DoubleComplex.commuting(spaces, dh, dv))
     return {q: total.cohomology(q).dim for q in range(0, max_degree + 1)}
 
 
@@ -554,12 +545,7 @@ def nerve_cohomology(f: Sheaf, max_degree: Optional[int] = None) -> Dict[int, in
     dims = {}
     offsets: List[Dict[Tuple[str, ...], Tuple[int, int]]] = []
     for k, chains in enumerate(chain_levels):
-        offs = {}
-        total = 0
-        for ch in chains:
-            d = f.dim(ch[-1])
-            offs[ch] = (total, d)
-            total += d
+        offs, total = _offsets((ch, f.dim(ch[-1])) for ch in chains)
         offsets.append(offs)
         if total:
             dims[k] = total
@@ -671,12 +657,7 @@ class Pushforward:
         bases: Dict[str, Tuple[Subspace, Dict[str, Tuple[int, int]]]] = {}
         values = {}
         for y in tgt.elements:
-            fiber = fmap.fiber_over(y)
-            offs = {}
-            total = 0
-            for x in fiber:
-                offs[x] = (total, f.dim(x))
-                total += f.dim(x)
+            offs, total = _offsets((x, f.dim(x)) for x in fmap.fiber_over(y))
             edges = [(a, b) for (a, b) in src.hasse if a in offs and b in offs]
             space = _compatible_families(f, edges, offs, total)
             bases[y] = (space, offs)
@@ -903,40 +884,7 @@ def gd_tensor(f: Sheaf, g: Sheaf, length: Optional[int] = None) -> TensorCompatR
                 chain_ok = False
     aug = phis[(0, 0)].compose(tensor_sheaf_map(bar_f.augmentation, bar_g.augmentation))
     aug_ok = _same_map(aug, bar_fg.augmentation)
-    # objectwise quasi-isomorphism in degrees < length
-    quasi_ok = True
-    for x in site.elements:
-        # total complex of the product grid at x, mapped to the resolution of fg
-        dims = {}
-        for n in range(length + 1):
-            dims[n] = sum(
-                towers_f[a + 1].dim(x) * towers_g[n - a + 1].dim(x) for a in range(n + 1)
-            )
-        # map dimensions must agree on cohomology with the target resolution
-        src_d = {}
-        for n in range(length):
-            col_off = 0
-            row_offs = []
-            acc = 0
-            for a in range(n + 2):
-                row_offs.append(acc)
-                acc += towers_f[a + 1].dim(x) * towers_g[n + 1 - a + 1].dim(x)
-            blocks = []
-            for a in range(n + 1):
-                b = n - a
-                da = kron(bar_f.differentials[a].component(x), Matrix.identity(towers_g[b + 1].dim(x)))
-                db = kron(Matrix.identity(towers_f[a + 1].dim(x)), bar_g.differentials[b].component(x))
-                blocks += [(row_offs[a + 1], col_off, da), (row_offs[a], col_off, db if a % 2 == 0 else -db)]
-                col_off += towers_f[a + 1].dim(x) * towers_g[b + 1].dim(x)
-            src_d[n] = assemble(dims[n + 1], dims[n], blocks)
-        src = Complex({n: k for n, k in dims.items() if k}, src_d)
-        # degree-0 cohomology must be (F (x) G)(x), higher must vanish below the bound
-        if src.cohomology(0).dim != fg.dim(x):
-            quasi_ok = False
-        for deg in range(1, length):
-            if src.cohomology(deg).dim:
-                quasi_ok = False
-    # section-level dimensions on both sides
+    # the product grid Gd(F)^a (x) Gd(G)^b, truncated at a + b = length
     grid = {}
     dh = {}
     dv = {}
@@ -946,6 +894,23 @@ def gd_tensor(f: Sheaf, g: Sheaf, length: Optional[int] = None) -> TensorCompatR
             if a + b < length:
                 dh[(a, b)] = tensor_sheaf_map(bar_f.differentials[a], identity_map(towers_g[b + 1]))
                 dv[(a, b)] = tensor_sheaf_map(identity_map(towers_f[a + 1]), bar_g.differentials[b])
+    # objectwise quasi-isomorphism in degrees < length: at each x the total
+    # complex of the grid has H^0 = (F (x) G)(x) and no higher cohomology
+    quasi_ok = True
+    for x in site.elements:
+        at_x = DoubleComplex.commuting(
+            {ab: s.dim(x) for ab, s in grid.items()},
+            {ab: g.component(x) for ab, g in dh.items()},
+            {ab: g.component(x) for ab, g in dv.items()},
+            check=False,
+        )
+        src, _ = total_complex(at_x)
+        if src.cohomology(0).dim != fg.dim(x):
+            quasi_ok = False
+        for deg in range(1, length):
+            if src.cohomology(deg).dim:
+                quasi_ok = False
+    # section-level dimensions on both sides
     left = _sections_double_complex(grid, dh, dv, site.height)
     right = gd_cohomology(fg, length=length, max_degree=site.height)
     return TensorCompatReport(

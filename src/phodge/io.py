@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .absolute import DatumFlags, GeometricDatum, PairingData, ProperMapDatum, TraceData
-from .complexes import ChainMap, Complex
+from .complexes import ChainMap, Complex, DoubleComplex, tensor
 from .errors import ValidationError
 from .filtered import FilteredComplex, Filtration
 from .frames import CoefficientFrame, NumberField, parse_dim, parse_rational
@@ -23,7 +23,6 @@ from .frobenius import FrobeniusComplex
 from .linalg import Matrix, Subspace
 from .godement import FiniteSite, Sheaf, constant_sheaf, indicator_sheaf
 from .phc import PHodgeComplex, PHodgeMap, Zigzag
-from .spectral import DoubleComplex
 
 
 def parse_matrix(frame: Optional[CoefficientFrame], data, rows: int, cols: int, where: str = "matrix") -> Matrix:
@@ -175,8 +174,6 @@ def parse_datum(data) -> GeometricDatum:
     rgamma = parse_phc(data["rgamma"], frame)
     rgamma_c = parse_phc(data["rgamma_c"], frame)
     d = parse_dim(data["d"], "d")
-    from .complexes import tensor
-
     t_rig = tensor(rgamma.rig.complex, rgamma_c.rig.complex).complex
     t_k = tensor(rgamma.k, rgamma_c.k).complex
     t_dr = tensor(rgamma.dr.carrier, rgamma_c.dr.carrier).complex

@@ -161,10 +161,10 @@ def is_unit_like(m: PHodgeComplex) -> bool:
 def _tensor_filtration(a: FilteredComplex, b: FilteredComplex, t: TensorComplex) -> Filtration:
     dims = dict(t.complex.dims)
     records: Dict[int, List[Tuple[int, Subspace]]] = {}
-    for n, blocks in t.blocks.items():
+    for n, blocks in t.layout.blocks.items():
         total = t.complex.dim(n)
         candidates = set()
-        for i, j, _ in blocks:
+        for i, j, _, _ in blocks:
             for la in a.filtration.jump_levels(i):
                 for lb in b.filtration.jump_levels(j):
                     candidates.add(la + lb)
@@ -173,7 +173,7 @@ def _tensor_filtration(a: FilteredComplex, b: FilteredComplex, t: TensorComplex)
             # F^level is spanned by F^la (x) F^(level-la) in every block
             placed = []
             cols = 0
-            for i, j, off in blocks:
+            for i, j, off, _ in blocks:
                 for la in a.filtration.jump_levels(i):
                     sa = a.filtration.at(i, la)
                     sb = b.filtration.at(j, level - la)
@@ -195,9 +195,9 @@ def tensor_phc(m: PHodgeComplex, m2: PHodgeComplex) -> PHodgeComplex:
     t_k = tensor(m.k, m2.k)
     t_dr = tensor(m.dr.carrier, m2.dr.carrier)
     phi = {}
-    for n, blocks in t_rig.blocks.items():
+    for n, blocks in t_rig.layout.blocks.items():
         size = t_rig.complex.dim(n)
-        phi[n] = assemble(size, size, [(off, off, kron(m.rig.phi_at(i), m2.rig.phi_at(j))) for i, j, off in blocks])
+        phi[n] = assemble(size, size, [(off, off, kron(m.rig.phi_at(i), m2.rig.phi_at(j))) for i, j, off, _ in blocks])
     rig = FrobeniusComplex(frame, t_rig.complex, phi, check=False)
     dr = FilteredComplex(t_dr.complex, _tensor_filtration(m.dr, m2.dr, t_dr), check=False)
     c = tensor_map(m.c, m2.c)

@@ -1,4 +1,4 @@
-"""Double complexes, total complexes, and filtration spectral sequences.
+"""Filtration spectral sequences of double complexes and filtered complexes.
 
 Pages are computed from the standard subspace formulas: with Z_r the part of
 the filtration level whose differential falls r levels deeper, the page entry
@@ -14,103 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .complexes import ChainMap, Complex
+from .complexes import ChainMap, Complex, DoubleComplex, TotalLayout, total_complex
 from .errors import ValidationError
 from .filtered import FilteredComplex, Filtration
 from .linalg import Matrix, Subspace, assemble
-
-
-class DoubleComplex:
-    """Bigraded spaces with anticommuting horizontal and vertical differentials."""
-
-    __slots__ = ("spaces", "dh", "dv")
-
-    def __init__(self, spaces: Dict[Tuple[int, int], int], dh: Dict[Tuple[int, int], Matrix], dv: Dict[Tuple[int, int], Matrix], *, check: bool = True):
-        spaces = {(int(p), int(q)): int(k) for (p, q), k in spaces.items() if k > 0}
-        dh = {k: m for k, m in dh.items() if not m.is_zero()}
-        dv = {k: m for k, m in dv.items() if not m.is_zero()}
-        object.__setattr__(self, "spaces", spaces)
-        object.__setattr__(self, "dh", dh)
-        object.__setattr__(self, "dv", dv)
-        if check:
-            for (p, q), m in dh.items():
-                if m.rows != self.dim(p + 1, q) or m.cols != self.dim(p, q):
-                    raise ValidationError(f"horizontal differential at {(p, q)} has the wrong shape")
-            for (p, q), m in dv.items():
-                if m.rows != self.dim(p, q + 1) or m.cols != self.dim(p, q):
-                    raise ValidationError(f"vertical differential at {(p, q)} has the wrong shape")
-            for (p, q) in spaces:
-                if not (self.dh_at(p + 1, q) * self.dh_at(p, q)).is_zero():
-                    raise ValidationError(f"dh∘dh != 0 at {(p, q)}")
-                if not (self.dv_at(p, q + 1) * self.dv_at(p, q)).is_zero():
-                    raise ValidationError(f"dv∘dv != 0 at {(p, q)}")
-                anti = self.dh_at(p, q + 1) * self.dv_at(p, q) + self.dv_at(p + 1, q) * self.dh_at(p, q)
-                if not anti.is_zero():
-                    raise ValidationError(f"differentials do not anticommute at {(p, q)}")
-
-    def __setattr__(self, *a):
-        raise AttributeError("DoubleComplex is immutable")
-
-    def dim(self, p: int, q: int) -> int:
-        return self.spaces.get((p, q), 0)
-
-    def dh_at(self, p: int, q: int) -> Matrix:
-        m = self.dh.get((p, q))
-        return m if m is not None else Matrix.zeros(self.dim(p + 1, q), self.dim(p, q))
-
-    def dv_at(self, p: int, q: int) -> Matrix:
-        m = self.dv.get((p, q))
-        return m if m is not None else Matrix.zeros(self.dim(p, q + 1), self.dim(p, q))
-
-    def transpose(self) -> "DoubleComplex":
-        spaces = {(q, p): k for (p, q), k in self.spaces.items()}
-        dh = {(q, p): m for (p, q), m in self.dv.items()}
-        dv = {(q, p): m for (p, q), m in self.dh.items()}
-        return DoubleComplex(spaces, dh, dv, check=False)
-
-    def p_range(self) -> Tuple[int, int]:
-        ps = [p for p, _ in self.spaces]
-        return (min(ps), max(ps)) if ps else (0, 0)
-
-
-@dataclass(frozen=True)
-class TotalLayout:
-    blocks: Dict[int, Tuple[Tuple[int, int, int, int], ...]]  # n -> ((p, q, offset, dim), ...)
-
-    def offset(self, n: int, p: int) -> Optional[Tuple[int, int]]:
-        for bp, bq, off, k in self.blocks.get(n, ()):
-            if bp == p:
-                return off, k
-        return None
-
-
-def total_complex(dc: DoubleComplex) -> Tuple[Complex, TotalLayout]:
-    """Degree n part (+)_{p+q=n} A^{p,q} (blocks by ascending p), d = dh + dv."""
-    blocks: Dict[int, List[Tuple[int, int, int, int]]] = {}
-    dims: Dict[int, int] = {}
-    for n in sorted({p + q for p, q in dc.spaces}):
-        off = 0
-        entry = []
-        for p in sorted({p for p, q in dc.spaces if p + q == n}):
-            k = dc.dim(p, n - p)
-            entry.append((p, n - p, off, k))
-            off += k
-        blocks[n] = entry
-        dims[n] = off
-    d = {}
-    for n in dims:
-        if not dims.get(n + 1, 0):
-            continue
-        tgt = {p: off for p, q, off, k in blocks[n + 1]}
-        placed = []
-        for p, q, off, k in blocks[n]:
-            if (p + 1) in tgt:
-                placed.append((tgt[p + 1], off, dc.dh_at(p, q)))
-            if p in tgt:
-                placed.append((tgt[p], off, dc.dv_at(p, q)))
-        d[n] = assemble(dims[n + 1], dims[n], placed)
-    total = Complex(dims, d)
-    return total, TotalLayout({n: tuple(v) for n, v in blocks.items()})
 
 
 @dataclass
@@ -281,7 +188,7 @@ def simplicial_collapse(c: Complex, n_levels: int) -> CollapseReport:
         for m in c.dims:
             spaces[(col, m)] = c.dim(m)
             if c.dim(m + 1):
-                dv[(col, m)] = c.diff(m) if col % 2 == 0 else -c.diff(m)
+                dv[(col, m)] = c.diff(m)
         if col < 0:
             # faces of the constant simplicial level are all the identity
             face_count = (-col) + 1
@@ -289,8 +196,8 @@ def simplicial_collapse(c: Complex, n_levels: int) -> CollapseReport:
             if coef:
                 for m in c.dims:
                     dh[(col, m)] = Matrix.identity(c.dim(m)).scale(Fraction(coef))
-    dc = DoubleComplex(spaces, dh, dv)
-    total, _ = total_complex(dc)
+    dc = DoubleComplex.commuting(spaces, dh, dv)
+    total, layout = total_complex(dc)
     pgs = pages(dc, "col")
     e1 = pgs[0]
     e1_ok = True
@@ -319,7 +226,6 @@ def simplicial_collapse(c: Complex, n_levels: int) -> CollapseReport:
             total_ok = False
     # the column-zero inclusion realizes the comparison
     incl_comps = {}
-    _, layout = total_complex(dc)
     for m in c.dims:
         found = layout.offset(m, 0)
         if found is None:

@@ -99,9 +99,9 @@ def test_unit_cone_matches_ext_random(frame):
 def test_les_exactness(point_datum, p1_datum, gm_datum, elliptic_datum):
     for datum in (point_datum, p1_datum, gm_datum, elliptic_datum):
         for i in (0, 1):
-            rep = long_exact_sequence(datum.rgamma, i, "rigid")
+            rep = long_exact_sequence(syntomic_complex(datum.rgamma, i), "rigid")
             assert rep.exact, (datum.name, i)
-            rep = long_exact_sequence(datum.rgamma_c, i, "derham")
+            rep = long_exact_sequence(syntomic_complex(datum.rgamma_c, i), "derham")
             assert rep.exact, (datum.name, i, "compact")
 
 
@@ -111,7 +111,7 @@ def test_les_requires_flag(frame):
     m = rand_phc(rng, frame, lo=0, hi=0, max_dim=3)
     if not m.c.is_quasi_iso(via="degreewise"):
         with pytest.raises(PreconditionError):
-            long_exact_sequence(m, 0, "rigid")
+            long_exact_sequence(syntomic_complex(m, 0), "rigid")
 
 
 def test_les_normalization_equivalence(p1_datum):
@@ -265,7 +265,7 @@ def test_pairing_hom_matches_unit_vector_route(p1_datum, elliptic_datum):
                 e_k = Matrix.column([F(int(j == col)) for j in range(left)])
                 comps = {}
                 for q, r, c, off in hom_node.slots(a):
-                    found = t.block_offset(a + q, a)
+                    found = t.layout.offset(a + q, a)
                     pre = Matrix.identity(c) if pre_maps is None else pre_maps.get(q)
                     if found is None or pre is None or (a + q) not in pairing:
                         continue

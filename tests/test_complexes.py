@@ -16,7 +16,7 @@ from phodge.complexes import (
     tensor_map,
 )
 from phodge.errors import ValidationError
-from phodge.linalg import Matrix, Subspace
+from phodge.linalg import Matrix, Subspace, assemble, kron
 
 from helpers import rand_chain_map, rand_chain_self_map, rand_complex, rand_filtered_complex
 
@@ -127,6 +127,82 @@ def test_tensor_unit_and_kunneth():
             a.cohomology(i).dim * b.cohomology(n - i).dim for i in range(a.lo - 1, a.hi + 2)
         )
         assert t3.complex.cohomology(n).dim == expect
+
+
+class _BlockwiseTensor:
+    """The tensor product built block by block, with its own offsets and
+    Koszul-signed differential: the reference for the total-complex route."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.blocks = {}
+        dims = {}
+        for n in range(a.lo + b.lo, a.hi + b.hi + 1) if a.dims and b.dims else []:
+            off = 0
+            entry = []
+            for i in sorted(a.dims):
+                j = n - i
+                if b.dim(j):
+                    entry.append((i, j, off))
+                    off += a.dim(i) * b.dim(j)
+            if entry:
+                self.blocks[n] = entry
+                dims[n] = off
+        d = {}
+        for n in dims:
+            if dims.get(n + 1, 0):
+                tgt_off = {(i, j): o for i, j, o in self.blocks[n + 1]}
+                placed = []
+                for i, j, off in self.blocks[n]:
+                    if (i + 1, j) in tgt_off and a.dim(i + 1):
+                        placed.append((tgt_off[(i + 1, j)], off, kron(a.diff(i), Matrix.identity(b.dim(j)))))
+                    if (i, j + 1) in tgt_off and b.dim(j + 1):
+                        m = kron(Matrix.identity(a.dim(i)), b.diff(j))
+                        placed.append((tgt_off[(i, j + 1)], off, m if i % 2 == 0 else -m))
+                d[n] = assemble(dims[n + 1], dims[n], placed)
+        self.complex = Complex(dims, d, check=False)
+
+    def block_offset(self, n, i):
+        for bi, bj, off in self.blocks.get(n, []):
+            if bi == i:
+                return off, self.a.dim(bi) * self.b.dim(bj)
+        return None
+
+    def pure_tensor(self, i, x, j, y):
+        off, _ = self.block_offset(i + j, i)
+        vec = [F(0)] * self.complex.dim(i + j)
+        for t, v in enumerate(xx * yy for xx in x for yy in y):
+            vec[off + t] = v
+        return tuple(vec)
+
+
+def test_tensor_matches_blockwise_reference():
+    """tensor() as a total complex equals the blockwise construction in dims,
+    differentials, block offsets and pure tensors; tensor_map is a chain map
+    and the Kunneth formula holds on the same pairs."""
+    rng = random.Random(707)
+    for trial in range(200):
+        a = rand_complex(rng, -1, 2, 3)
+        b = rand_complex(rng, -1, 2, 3)
+        t, ref = tensor(a, b), _BlockwiseTensor(a, b)
+        assert (t.complex.dims, t.complex.d) == (ref.complex.dims, ref.complex.d), trial
+        assert {n: [(i, j, off) for i, j, off, _ in blocks] for n, blocks in t.layout.blocks.items()} == ref.blocks
+        for n in ref.blocks:
+            for i in range(a.lo - 1, a.hi + 2):
+                assert t.layout.offset(n, i) == ref.block_offset(n, i), (trial, n, i)
+        for i in a.dims:
+            for j in b.dims:
+                x = [F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(a.dim(i))]
+                y = [F(rng.randint(-2, 2)) for _ in range(b.dim(j))]
+                assert t.pure_tensor(i, x, j, y) == ref.pure_tensor(i, x, j, y)
+        for n in range(t.complex.lo - 1, t.complex.hi + 2) if t.complex.dims else []:
+            expect = sum(a.cohomology(i).dim * b.cohomology(n - i).dim for i in range(a.lo - 1, a.hi + 2))
+            assert t.complex.cohomology(n).dim == expect, (trial, n)
+        if trial % 4 == 0:
+            f = rand_chain_map(rng, a, rand_complex(rng, -1, 2, 2))
+            g = rand_chain_map(rng, b, rand_complex(rng, -1, 2, 2))
+            fg = tensor_map(f, g)
+            ChainMap(fg.source, fg.target, fg.components, check=True)
 
 
 def test_hom_complex_unit():

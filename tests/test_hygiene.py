@@ -1,5 +1,6 @@
 """Source hygiene: every name a module of the package imports is used in it,
-and every module-level private function or class is used somewhere."""
+every module-level private function or class is used somewhere, and every
+import sits at module level."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,22 @@ def unused_imports(source: str):
         for ann in annotations:
             used.update(_annotation_names(ann))
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def function_local_imports(source: str):
+    """(line, function) of each import statement inside a function body,
+    naming the innermost function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and owner:
+                found.append((child.lineno, owner))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
 
 
 def _references(node: ast.AST):
@@ -96,6 +113,31 @@ def test_no_unused_imports_in_src():
         unused = unused_imports(path.read_text())
         if unused:
             found[path.name] = unused
+    assert not found, found
+
+
+def test_local_import_checker_sees_functions_methods_and_nesting():
+    source = (
+        "import json\n"
+        "def f():\n"
+        "    from .linalg import Matrix\n"
+        "    return Matrix\n"
+        "class A:\n"
+        "    from typing import Dict\n"
+        "    def g(self):\n"
+        "        def h():\n"
+        "            import os\n"
+        "        return h\n"
+    )
+    assert function_local_imports(source) == [(3, "f"), (9, "h")]
+
+
+def test_no_function_local_imports_in_src():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        local = function_local_imports(path.read_text())
+        if local:
+            found[path.name] = local
     assert not found, found
 
 

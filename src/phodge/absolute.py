@@ -6,6 +6,12 @@ between them, the trace identification in top degree, and verified flags.
 On top of it live the twisted unit cones and their long exact sequences,
 absolute homology, cup products, the duality isomorphism built from the
 pairing, and the wrong-way maps obtained by conjugating with duality.
+
+The unit cone, the duality machine's three-slot cone and the Hom cone of
+``ext`` are each the shifted cone of a map between direct sums.  Every map
+into, out of or between them is assembled by the ``complexes`` primitives
+(``sum_map``, ``sum_inclusion``, ``sum_projection``, the triangle maps of
+``cone`` and ``shifted_cone_map``), so no summand offset is computed here.
 """
 
 from __future__ import annotations
@@ -14,13 +20,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .complexes import ChainMap, Complex, cone, direct_sum, shift, shifted_cone_map, tensor
+from .complexes import (
+    ChainMap,
+    Complex,
+    cone,
+    corestrict,
+    direct_sum,
+    shift,
+    shift_map,
+    shifted_cone_map,
+    sum_inclusion,
+    sum_map,
+    sum_projection,
+    tensor,
+)
 from .errors import PreconditionError, ValidationError
 from .ext import ExtComplex, cup_product, induced_map
 from .filtered import FilteredComplex, Filtration, level_subcomplex
 from .frames import CoefficientFrame
 from .frobenius import FrobeniusComplex
-from .linalg import Matrix, Subspace, assemble, kron, vstack
+from .linalg import Matrix, Subspace, assemble, hstack, kron, vstack
 from .phc import (
     PHodgeComplex,
     PHodgeMap,
@@ -37,7 +56,19 @@ class SyntomicCone:
     """The twisted unit cone: Cone(M0 (+) F^n M_dR -> M0 (+) M_K)[-1] with
     first map p^{-n} phi - id and second c - s."""
 
-    __slots__ = ("phc", "twist", "a_complex", "b_complex", "fsub", "fsub_incl", "eta", "total")
+    __slots__ = (
+        "phc",
+        "twist",
+        "a_complex",
+        "a_layout",
+        "b_complex",
+        "b_layout",
+        "fsub",
+        "fsub_incl",
+        "eta",
+        "triangle",
+        "total",
+    )
 
     def __init__(self, m: PHodgeComplex, n: int):
         if not m.frame.sigma_is_identity:
@@ -45,23 +76,20 @@ class SyntomicCone:
         fsub, fsub_incl = level_subcomplex(m.dr, n)
         a_complex, a_layout = direct_sum([m.rig.complex, fsub])
         b_complex, b_layout = direct_sum([m.rig.complex, m.k])
-        p_pow = Fraction(m.frame.p) ** (-n)
-        comps = {}
-        for q in a_complex.dims:
-            d0 = m.rig.complex.dim(q)
-            blocks = [(0, 0, m.rig.phi_at(q).scale(p_pow) - Matrix.identity(d0)), (d0, 0, m.c.component(q))]
-            if fsub.dim(q):
-                blocks.append((d0, d0, -(m.s.component(q) * fsub_incl.component(q))))
-            comps[q] = assemble(b_complex.dim(q), a_complex.dim(q), blocks)
-        eta = ChainMap(a_complex, b_complex, comps)
+        blocks = {(0, 0): _phi_minus_one(m, n), (1, 0): m.c, (1, 1): -m.s.compose(fsub_incl)}
+        eta = ChainMap(a_complex, b_complex, sum_map(a_complex, a_layout, b_complex, b_layout, blocks).components)
+        triangle = cone(eta)
         object.__setattr__(self, "phc", m)
         object.__setattr__(self, "twist", n)
         object.__setattr__(self, "a_complex", a_complex)
+        object.__setattr__(self, "a_layout", a_layout)
         object.__setattr__(self, "b_complex", b_complex)
+        object.__setattr__(self, "b_layout", b_layout)
         object.__setattr__(self, "fsub", fsub)
         object.__setattr__(self, "fsub_incl", fsub_incl)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "total", shift(cone(eta)[0], -1))
+        object.__setattr__(self, "triangle", triangle)
+        object.__setattr__(self, "total", shift(triangle[0], -1))
 
     def __setattr__(self, *a):
         raise AttributeError("SyntomicCone is immutable")
@@ -73,20 +101,20 @@ class SyntomicCone:
         return self.total.cohomology_dims()
 
     def projection_to_sum(self) -> ChainMap:
-        """total -> A, a chain map (degree q part (B^{q-1}, A^q) -> A^q)."""
-        comps = {}
-        for q in self.total.dims:
-            rows = self.a_complex.dim(q)
-            comps[q] = assemble(rows, self.total.dim(q), [(0, self.b_complex.dim(q - 1), Matrix.identity(rows))])
-        return ChainMap(self.total, self.a_complex, comps, check=False)
+        """total -> A, the shifted cone's projection B^{q-1} (+) A^q -> A^q."""
+        return shift_map(self.triangle[2], -1)
 
     def inclusion_of_shifted(self) -> ChainMap:
         """B[-1] -> total."""
-        sb = shift(self.b_complex, -1)
-        comps = {}
-        for q in sb.dims:
-            comps[q] = assemble(self.total.dim(q), sb.dim(q), [(0, 0, Matrix.identity(sb.dim(q)))])
-        return ChainMap(sb, self.total, comps, check=False)
+        return shift_map(self.triangle[1], -1)
+
+
+def _phi_minus_one(m: PHodgeComplex, n: int) -> ChainMap:
+    """p^{-n} phi - id on the rigid complex of m."""
+    c = m.rig.complex
+    p_pow = Fraction(m.frame.p) ** (-n)
+    comps = {q: m.rig.phi_at(q).scale(p_pow) - Matrix.identity(c.dim(q)) for q in c.dims}
+    return ChainMap(c, c, comps, check=False)
 
 
 def syntomic_complex(m: PHodgeComplex, n: int) -> SyntomicCone:
@@ -119,27 +147,12 @@ def ext_to_unit_cone(e: ExtComplex, u: SyntomicCone) -> ChainMap:
     (z0, zK, zK') -> (z0, zK + zK').
     """
     m = u.phc
-    comps = {}
-    for q in set(e.total.dims) | set(u.total.dims):
-        # gamma1 part of degree q-1 -> B^{q-1}
-        o_d, o_e, o_f = e.slot1_offsets(q - 1)
-        d0 = m.rig.complex.dim(q - 1)
-        id_k = Matrix.identity(m.k.dim(q - 1))
-        blocks = [(0, o_d, Matrix.identity(d0)), (d0, o_e, id_k), (d0, o_f, id_k)]
-        # gamma0 part of degree q -> A^q
-        base_r = u.b_complex.dim(q - 1)
-        base_c = e.gamma1.dim(q - 1)
-        o_a, o_b, o_c = e.slot0_offsets(q)
-        d0q = m.rig.complex.dim(q)
-        blocks.append((base_r, base_c + o_a, Matrix.identity(d0q)))
-        if e.h_ff.complex.dim(q):
-            # C-slot coordinates to the F-subcomplex coordinates
-            trans = m.dr.level(q, u.twist).coords_matrix(e.h_ff.bases[q].basis)
-            if trans is None:
-                raise ValidationError("filtration-compatible slot does not match the level subcomplex")
-            blocks.append((base_r + d0q, base_c + o_c, trans))
-        comps[q] = assemble(u.total.dim(q), e.total.dim(q), blocks)
-    return ChainMap(e.total, u.total, comps)
+    id_rig, id_k = ChainMap.identity(m.rig.complex), ChainMap.identity(m.k)
+    levels = {q: m.dr.level(q, u.twist) for q in m.dr.carrier.dims}
+    ff_to_fsub = corestrict(e.h_ff.inclusion, u.fsub, levels)
+    t0 = sum_map(e.gamma0, e.layout0, u.a_complex, u.a_layout, {(0, 0): id_rig, (1, 2): ff_to_fsub})
+    t1 = sum_map(e.gamma1, e.layout1, u.b_complex, u.b_layout, {(0, 0): id_rig, (1, 1): id_k, (1, 2): id_k})
+    return shifted_cone_map(t0, t1, e.total, u.total, check=True)
 
 
 @dataclass
@@ -178,6 +191,11 @@ def long_exact_sequence(u: SyntomicCone, variant: str = "rigid") -> LESReport:
     p_pow = Fraction(m.frame.p) ** (-n)
     proj = u.projection_to_sum()
     incl = u.inclusion_of_shifted()
+    a_parts, b_parts = [m.rig.complex, u.fsub], [m.rig.complex, m.k]
+    to_rig = sum_projection(a_parts, u.a_complex, u.a_layout, 0)
+    to_f = u.fsub_incl.compose(sum_projection(a_parts, u.a_complex, u.a_layout, 1))
+    from_rig = sum_inclusion(b_parts, u.b_complex, u.b_layout, 0)
+    from_k = sum_inclusion(b_parts, u.b_complex, u.b_layout, 1)
     degrees = sorted(set(u.total.dims) | set(u.a_complex.dims) | {0})
     lo, hi = min(degrees), max(degrees)
     terms: Dict[int, Tuple[int, int, int]] = {}
@@ -194,10 +212,8 @@ def long_exact_sequence(u: SyntomicCone, variant: str = "rigid") -> LESReport:
         # H^q(total) -> H^q(A)
         maps_a[q] = h_a.class_matrix(proj.component(q) * h_u.representatives)
         # H^q(A) -> H^q(M0) (+) H^q(other) through the normalized maps
-        d0 = m.rig.complex.dim(q)
-        rows = h_a.representatives.entries
-        x0 = Matrix(d0, h_a.dim, rows[:d0])
-        xf = u.fsub_incl.component(q) * Matrix(u.fsub.dim(q), h_a.dim, rows[d0:])
+        x0 = to_rig.component(q) * h_a.representatives
+        xf = to_f.component(q) * h_a.representatives
         x0_class = h0.class_matrix(x0)
         first = (m.rig.induced_on_cohomology(q).scale(p_pow) - Matrix.identity(h0.dim)) * x0_class
         if variant == "rigid":
@@ -208,8 +224,8 @@ def long_exact_sequence(u: SyntomicCone, variant: str = "rigid") -> LESReport:
             second = sstar.inverse() * h_k.class_matrix(m.c.component(q) * x0) - h_other.class_matrix(xf)
         maps_b[q] = vstack([first, second])
         # H^q(M0) (+) H^q(other) -> H^{q+1}(total): representatives (z, 0) and (0, comp(z))
-        reps = [(0, 0, h0.representatives), (d0, h0.dim, comp.component(q) * h_other.representatives)]
-        vecs = assemble(d0 + m.k.dim(q), h0.dim + h_other.dim, reps)
+        z_other = comp.component(q) * h_other.representatives
+        vecs = hstack([from_rig.component(q) * h0.representatives, from_k.component(q) * z_other])
         maps_c[q] = u.total.cohomology(q + 1).class_matrix(incl.component(q + 1) * vecs)
     joints: List[SequenceJoint] = []
     for q in range(lo, hi + 1):
@@ -486,62 +502,32 @@ class DualityMachine:
 
     # -- the modified three-slot cone ------------------------------------
     def _build_modified(self):
-        x, i = self.x, self.i
-        m = x.rgamma
-        fsub, fsub_incl = level_subcomplex(m.dr, i)
-        a_parts = [m.rig.complex, m.dr.carrier, fsub]
-        b_parts = [m.rig.complex, m.k, m.dr.carrier]
-        a_complex, a_layout = direct_sum(a_parts)
-        b_complex, b_layout = direct_sum(b_parts)
-        p_pow = Fraction(x.frame.p) ** (-i)
-        comps = {}
-        for q in a_complex.dims:
-            d0, dk, ddr = m.rig.complex.dim(q), m.k.dim(q), m.dr.carrier.dim(q)
-            blocks = [
-                (0, 0, m.rig.phi_at(q).scale(p_pow) - Matrix.identity(d0)),
-                (d0, 0, m.c.component(q)),
-                (d0, d0, -m.s.component(q)),
-                (d0 + dk, d0, Matrix.identity(ddr)),
-            ]
-            if fsub.dim(q):
-                blocks.append((d0 + dk, d0 + ddr, -fsub_incl.component(q)))
-            comps[q] = assemble(b_complex.dim(q), a_complex.dim(q), blocks)
-        psi_prime = ChainMap(a_complex, b_complex, comps)
-        self.m_a, self.m_b = a_complex, b_complex
-        self.m_fsub, self.m_fsub_incl = fsub, fsub_incl
+        m = self.x.rgamma
+        fsub, fsub_incl = level_subcomplex(m.dr, self.i)
+        a_complex, a_layout = direct_sum([m.rig.complex, m.dr.carrier, fsub])
+        b_complex, b_layout = direct_sum([m.rig.complex, m.k, m.dr.carrier])
+        blocks = {
+            (0, 0): _phi_minus_one(m, self.i),
+            (1, 0): m.c,
+            (1, 1): -m.s,
+            (2, 1): ChainMap.identity(m.dr.carrier),
+            (2, 2): -fsub_incl,
+        }
+        psi_prime = ChainMap(a_complex, b_complex, sum_map(a_complex, a_layout, b_complex, b_layout, blocks).components)
+        self.m_a, self.m_a_layout, self.m_b, self.m_b_layout = a_complex, a_layout, b_complex, b_layout
+        self.m_fsub_incl = fsub_incl
         self.psi_prime = psi_prime
         self.modified = shift(cone(psi_prime)[0], -1)
         # comparison (id, s, id) / (id, id, s) into the Hom-cone realization
         e = self.e_gamma
-        # B' = M0 + M_K + M_dR -> Gamma1 = M0 + M_K + M_K
-        t1 = {}
-        for q in b_complex.dims:
-            o_d, o_e, o_f = e.slot1_offsets(q)
-            d0, dk = m.rig.complex.dim(q), m.k.dim(q)
-            blocks = [(o_d, 0, Matrix.identity(d0)), (o_e, d0, Matrix.identity(dk)), (o_f, d0 + dk, m.s.component(q))]
-            t1[q] = assemble(e.gamma1.dim(q), b_complex.dim(q), blocks)
+        id_rig = ChainMap.identity(m.rig.complex)
+        fsub_to_ff = corestrict(fsub_incl, e.h_ff.complex, e.h_ff.bases)
         # A' = M0 + M_dR + F^i -> Gamma0 = M0 + M_K + F-slot
-        t0 = {}
-        for q in a_complex.dims:
-            o_a, o_b, o_c = e.slot0_offsets(q)
-            d0, ddr = m.rig.complex.dim(q), m.dr.carrier.dim(q)
-            blocks = [(o_a, 0, Matrix.identity(d0)), (o_b, d0, m.s.component(q))]
-            if fsub.dim(q):
-                cspace = e.h_ff.bases.get(q)
-                if cspace is None:
-                    raise ValidationError("missing filtration-compatible slot")
-                trans = cspace.coords_matrix(fsub_incl.component(q))
-                if trans is None:
-                    raise ValidationError("level subcomplex does not match the compatible slot")
-                blocks.append((o_c, d0 + ddr, trans))
-            t0[q] = assemble(e.gamma0.dim(q), a_complex.dim(q), blocks)
-        self.modified_to_gamma = shifted_cone_map(
-            ChainMap(a_complex, e.gamma0, t0, check=False),
-            ChainMap(b_complex, e.gamma1, t1, check=False),
-            self.modified,
-            e.total,
-            check=True,
-        )
+        t0 = sum_map(a_complex, a_layout, e.gamma0, e.layout0, {(0, 0): id_rig, (1, 1): m.s, (2, 2): fsub_to_ff})
+        # B' = M0 + M_K + M_dR -> Gamma1 = M0 + M_K + M_K
+        t1_blocks = {(0, 0): id_rig, (1, 1): ChainMap.identity(m.k), (2, 2): m.s}
+        t1 = sum_map(b_complex, b_layout, e.gamma1, e.layout1, t1_blocks)
+        self.modified_to_gamma = shifted_cone_map(t0, t1, self.modified, e.total, check=True)
         self.steps["modified_to_gamma_quasi_iso"] = self.modified_to_gamma.is_quasi_iso(via="degreewise")
 
     # -- truncation and trace chain on the compact-support side ----------
@@ -622,44 +608,29 @@ class DualityMachine:
 
     # -- the pairing map from the modified cone into Hom(N, P1) ----------
     def _build_pairing_map(self):
-        x, i = self.x, self.i
-        m = x.rgamma
-        n = x.rgamma_c
-        top = self.top
+        x = self.x
+        m, n = x.rgamma, x.rgamma_c
         e1 = self.e_p1
-        t_rig = tensor(m.rig.complex, n.rig.complex)
-        t_k = tensor(m.k, n.k)
-        t_dr = tensor(m.dr.carrier, n.dr.carrier)
         trunc_rig, trunc_k, trunc_dr = (t.map for t in self.trunc_p1)
+        rig = (x.pairing.rig, tensor(m.rig.complex, n.rig.complex), trunc_rig)
+        k = (x.pairing.k, tensor(m.k, n.k), trunc_k)
+        dr = (x.pairing.dr, tensor(m.dr.carrier, n.dr.carrier), trunc_dr)
         phi = {q: n.rig.phi_at(q) for q in n.rig.complex.dims}
         c_maps = {q: n.c.component(q) for q in n.rig.complex.dims}
         s_maps = {q: n.s.component(q) for q in n.dr.carrier.dims}
-        alpha_comps: Dict[int, Matrix] = {}
-        beta_comps: Dict[int, Matrix] = {}
-        for a in set(self.m_a.dims) | set(e1.gamma0.dims):
-            o_a, o_b, o_c = e1.slot0_offsets(a)
-            d0, ddr = m.rig.complex.dim(a), m.dr.carrier.dim(a)
-            h_dd = _pairing_hom(e1.h_dd, a, x.pairing.dr, t_dr, trunc_dr) * self.m_fsub_incl.component(a)
-            h_ff = e1.h_ff.bases.get(a, Subspace.zero(e1.h_dd.complex.dim(a))).coords_matrix(h_dd)
-            if h_ff is None:
-                raise ValidationError("pairing image escapes the filtration-compatible slot")
-            blocks = [
-                (o_a, 0, _pairing_hom(e1.h_rr, a, x.pairing.rig, t_rig, trunc_rig)),
-                (o_b, d0, _pairing_hom(e1.h_kk, a, x.pairing.k, t_k, trunc_k) * m.s.component(a)),
-                (o_c, d0 + ddr, h_ff),
-            ]
-            alpha_comps[a] = assemble(e1.gamma0.dim(a), self.m_a.dim(a), blocks)
-        for a in set(self.m_b.dims) | set(e1.gamma1.dims):
-            o_d, o_e, o_f = e1.slot1_offsets(a)
-            d0, dk = m.rig.complex.dim(a), m.k.dim(a)
-            blocks = [
-                (o_d, 0, _pairing_hom(e1.h_rr, a, x.pairing.rig, t_rig, trunc_rig, phi)),
-                (o_e, d0, _pairing_hom(e1.h_rk, a, x.pairing.k, t_k, trunc_k, c_maps)),
-                (o_f, d0 + dk, _pairing_hom(e1.h_dk, a, x.pairing.k, t_k, trunc_k, s_maps) * m.s.component(a)),
-            ]
-            beta_comps[a] = assemble(e1.gamma1.dim(a), self.m_b.dim(a), blocks)
-        alpha = ChainMap(self.m_a, e1.gamma0, alpha_comps, check=False)
-        beta = ChainMap(self.m_b, e1.gamma1, beta_comps, check=False)
+        dd = _pairing_slot(e1.h_dd, *dr).compose(self.m_fsub_incl)
+        alpha_blocks = {
+            (0, 0): _pairing_slot(e1.h_rr, *rig),
+            (1, 1): _pairing_slot(e1.h_kk, *k).compose(m.s),
+            (2, 2): corestrict(dd, e1.h_ff.complex, e1.h_ff.bases),
+        }
+        beta_blocks = {
+            (0, 0): _pairing_slot(e1.h_rr, *rig, phi),
+            (1, 1): _pairing_slot(e1.h_rk, *k, c_maps),
+            (2, 2): _pairing_slot(e1.h_dk, *k, s_maps).compose(m.s),
+        }
+        alpha = sum_map(self.m_a, self.m_a_layout, e1.gamma0, e1.layout0, alpha_blocks)
+        beta = sum_map(self.m_b, self.m_b_layout, e1.gamma1, e1.layout1, beta_blocks)
         # square against the two glue maps, then assemble the cone map
         square_ok = True
         for q in self.m_a.dims:
@@ -703,6 +674,13 @@ class DualityMachine:
             steps=steps,
             iso_matrix=iso,
         )
+
+
+def _pairing_slot(hom_node, pairing: Dict[int, Matrix], t, trunc: ChainMap, pre_maps=None) -> ChainMap:
+    """_pairing_hom in every degree of the tensor's left factor, as a
+    degreewise map into the hom node."""
+    comps = {a: _pairing_hom(hom_node, a, pairing, t, trunc, pre_maps) for a in t.a.dims}
+    return ChainMap(t.a, hom_node.complex, comps, check=False)
 
 
 def _pairing_hom(hom_node, a: int, pairing: Dict[int, Matrix], t, trunc: ChainMap, pre_maps=None) -> Matrix:

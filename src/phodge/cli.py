@@ -24,13 +24,13 @@ from .absolute import (
     long_exact_sequence,
     syntomic_complex,
 )
-from .complexes import DoubleComplex, total_complex
+from .complexes import DoubleComplex
 from .errors import PreconditionError, ValidationError
 from .ext import ExtComplex
 from .frames import parse_rational
 from .godement import FiniteSite, sheaf_cohomology
 from .phc import PHodgeComplex
-from .spectral import pages
+from .spectral import column_filtered, filtration_pages
 
 
 def _emit(args, payload: Dict, text_lines: List[str]) -> None:
@@ -194,8 +194,9 @@ def cmd_ss(args) -> int:
     dc = pio.load_object(pio.resolve(args.dcomplex))
     if not isinstance(dc, DoubleComplex):
         raise ValidationError("ss expects a double complex file")
-    pgs = pages(dc, args.direction)
-    total, _ = total_complex(dc)
+    fc = column_filtered(dc, args.direction)
+    pgs = filtration_pages(fc)
+    total = fc.carrier
     payload = {"direction": args.direction, "pages": [], "total_cohomology": {str(n): total.cohomology(n).dim for n in sorted(total.dims)}}
     lines = [f"spectral sequence ({args.direction} filtration)"]
     for page in pgs:

@@ -5,7 +5,12 @@ at construction.  Sign conventions are fixed once here:
 
 * shift(c, k) has degree-n term c^{n+k} and differential (-1)^k d;
 * cone(f: A -> B) has degree-n term B^n (+) A^{n+1} and differential
-  [[d_B, f], [0, -d_A]], making B -> cone and cone -> A[1] sign-free;
+  [[d_B, f], [0, -d_A]], making B -> cone and cone -> A[1] sign-free; so
+  shift(cone(f), -1) has degree-n term B^{n-1} (+) A^n, and the shifts of
+  those two triangle maps are B[-1] -> shift(cone(f), -1) -> A;
+* a direct sum stacks its summands in the order given, degree by degree; the
+  offset of a summand is known only to its SumLayout, and maps into, out of or
+  between direct sums are built by sum_inclusion, sum_projection and sum_map;
 * the total complex of a double complex has degree-n term
   (+)_{p+q=n} A^{p,q} with the blocks in ascending p, and d = dh + dv; a grid
   whose squares commute becomes a double complex by signing the vertical maps
@@ -208,6 +213,9 @@ class ChainMap:
         comps = {n: self.component(n) - other.component(n) for n in set(self.source.dims)}
         return ChainMap(self.source, self.target, comps, check=False)
 
+    def __neg__(self) -> "ChainMap":
+        return ChainMap(self.source, self.target, {n: -m for n, m in self.components.items()}, check=False)
+
     def induced_on_cohomology(self, n: int) -> Matrix:
         src = self.source.cohomology(n)
         tgt = self.target.cohomology(n)
@@ -264,6 +272,17 @@ def subcomplex(c: Complex, spaces: Dict[int, Subspace]) -> Tuple[Complex, ChainM
             raise ValidationError(f"the differential at degree {n} leaves the subcomplex")
     sub = Complex({n: s.dim for n, s in spaces.items()}, d, check=False)
     return sub, ChainMap(sub, c, {n: s.basis for n, s in spaces.items()}, check=False)
+
+
+def corestrict(f: ChainMap, sub: Complex, spaces: Dict[int, Subspace]) -> ChainMap:
+    """f read as a map into the subcomplex sub spanned by spaces[n] ⊂ f.target^n,
+    in the coordinates of each basis; every image must lie in the subcomplex."""
+    comps = {}
+    for n, m in f.components.items():
+        comps[n] = spaces[n].coords_matrix(m) if n in spaces else None
+        if comps[n] is None:
+            raise ValidationError(f"the map leaves the subcomplex at degree {n}")
+    return ChainMap(f.source, sub, comps, check=False)
 
 
 class Truncation:
@@ -493,10 +512,6 @@ class DoubleComplex:
         dh = {(q, p): m for (p, q), m in self.dv.items()}
         dv = {(q, p): m for (p, q), m in self.dh.items()}
         return DoubleComplex(spaces, dh, dv, check=False)
-
-    def p_range(self) -> Tuple[int, int]:
-        ps = [p for p, _ in self.spaces]
-        return (min(ps), max(ps)) if ps else (0, 0)
 
 
 @dataclass(frozen=True)

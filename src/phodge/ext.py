@@ -24,6 +24,7 @@ from typing import Dict, Sequence, Tuple
 from .complexes import (
     ChainMap,
     cone,
+    corestrict,
     direct_sum,
     hom_complex,
     shift,
@@ -183,20 +184,6 @@ class ExtComplex:
     def differential(self, n: int) -> Matrix:
         return self.total.diff(n)
 
-    def slot0_offsets(self, n: int) -> Tuple[int, int, int]:
-        return (
-            self.layout0.offset(0, n),
-            self.layout0.offset(1, n),
-            self.layout0.offset(2, n),
-        )
-
-    def slot1_offsets(self, n: int) -> Tuple[int, int, int]:
-        return (
-            self.layout1.offset(0, n),
-            self.layout1.offset(1, n),
-            self.layout1.offset(2, n),
-        )
-
 
 def ext(m: PHodgeComplex, m2: PHodgeComplex, n: int):
     """Dimension and representatives of the degree-n Ext group."""
@@ -222,20 +209,8 @@ def induced_map(e_src: ExtComplex, g: PHodgeMap, e_tgt: ExtComplex, *, contravar
     # the comparison nodes Hom(rig, k) and Hom(dR, k) differ on their two sides
     f_rk, f_dk = (g.f_rig, g.f_dr) if contravariant else (g.f_k, g.f_k)
     rr = node("h_rr", g.f_rig)
-    full_dd = node("h_dd", g.f_dr)
-    ff_comps = {}
-    for n, src_b in e_src.h_ff.bases.items():
-        img = full_dd.component(n) * src_b.basis
-        tgt_b = e_tgt.h_ff.bases.get(n)
-        if tgt_b is None:
-            if not img.is_zero():
-                raise ValidationError("filtration-compatible maps are not preserved")
-            continue
-        sol = tgt_b.coords_matrix(img)
-        if sol is None:
-            raise ValidationError("the induced map leaves the filtration-compatible subcomplex")
-        ff_comps[n] = sol
-    ff = ChainMap(e_src.h_ff.complex, e_tgt.h_ff.complex, ff_comps, check=False)
+    full_dd = node("h_dd", g.f_dr).compose(e_src.h_ff.inclusion)
+    ff = corestrict(full_dd, e_tgt.h_ff.complex, e_tgt.h_ff.bases)
     blocks0 = {(0, 0): rr, (1, 1): node("h_kk", g.f_k), (2, 2): ff}
     blocks1 = {(0, 0): rr, (1, 1): node("h_rk", f_rk), (2, 2): node("h_dk", f_dk)}
     t0 = sum_map(e_src.gamma0, e_src.layout0, e_tgt.gamma0, e_tgt.layout0, blocks0)
@@ -327,7 +302,7 @@ def cup_product(
 
 def _slice0(e: ExtComplex, n: int, vec: Sequence):
     """(rig part, k part, filtered part in ambient dR coordinates)."""
-    o_a, o_b, o_c = e.slot0_offsets(n)
+    o_a, o_b, o_c = (e.layout0.offset(i, n) for i in range(3))
     x0 = tuple(vec[o_a : o_a + e.second.rig.complex.dim(n)])
     xk = tuple(vec[o_b : o_b + e.second.k.dim(n)])
     csize = e.h_ff.complex.dim(n)
@@ -340,7 +315,7 @@ def _slice0(e: ExtComplex, n: int, vec: Sequence):
 
 
 def _slice1(e: ExtComplex, n: int, vec: Sequence):
-    o_d, o_e, o_f = e.slot1_offsets(n)
+    o_d, o_e, o_f = (e.layout1.offset(i, n) for i in range(3))
     z0 = tuple(vec[o_d : o_d + e.second.rig.complex.dim(n)])
     zk = tuple(vec[o_e : o_e + e.second.k.dim(n)])
     zf = tuple(vec[o_f : o_f + e.second.k.dim(n)])
@@ -352,7 +327,7 @@ def _bullet(e_m, a, u0, e_m2, b, v0, e_t, t_rig, t_k, t_dr) -> Tuple:
     y0, yk, ydr = _slice0(e_m2, b, v0)
     n = a + b
     out = [ZERO] * e_t.gamma0.dim(n)
-    o_a, o_b, o_c = e_t.slot0_offsets(n)
+    o_a, o_b, o_c = (e_t.layout0.offset(i, n) for i in range(3))
     if x0 and y0 and t_rig.complex.dim(n):
         for pos, val in enumerate(t_rig.pure_tensor(a, x0, b, y0)):
             out[o_a + pos] += val
@@ -379,7 +354,7 @@ def _boxtimes(e_m, a, z, e_m2, b, w, e_t, t_rig, t_k) -> Tuple:
         return tuple(out)
     z0, zk, zf = _slice1(e_m, a, z)
     w0, wk, wf = _slice1(e_m2, b, w)
-    o_d, o_e, o_f = e_t.slot1_offsets(n)
+    o_d, o_e, o_f = (e_t.layout1.offset(i, n) for i in range(3))
     if z0 and w0 and t_rig.complex.dim(n):
         for pos, val in enumerate(t_rig.pure_tensor(a, z0, b, w0)):
             out[o_d + pos] += val
@@ -398,7 +373,7 @@ def unit_class(e: ExtComplex) -> Tuple:
     if not is_unit_like(e.second):
         raise PreconditionError("unit class lives in the cone of the unit pair")
     vec = [ZERO] * e.total.dim(0)
-    o_a, o_b, o_c = e.slot0_offsets(0)
+    o_a, o_b, o_c = (e.layout0.offset(i, 0) for i in range(3))
     k1 = e.gamma1.dim(-1)
     vec[k1 + o_a] = ONE
     vec[k1 + o_b] = ONE

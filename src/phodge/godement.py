@@ -23,37 +23,43 @@ class FiniteSite:
 
     def __init__(self, elements: Sequence[str], relations: Sequence[Tuple[str, str]], points: Sequence[str]):
         elements = tuple(sorted(set(elements)))
-        rel = {(a, b) for a, b in relations}
-        for a, b in rel:
-            if a not in elements or b not in elements:
+        above: Dict[str, set] = {x: set() for x in elements}
+        for a, b in relations:
+            if a not in above or b not in above:
                 raise ValidationError(f"relation {a} <= {b} uses unknown elements")
-        closure = {(x, x) for x in elements} | set(rel)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(closure):
-                for (c, d) in list(closure):
-                    if b == c and (a, d) not in closure:
-                        closure.add((a, d))
-                        changed = True
-        for a, b in closure:
-            if a != b and (b, a) in closure:
-                raise ValidationError(f"poset axioms violated: {a} and {b} are comparable both ways")
+            above[a].add(b)
+        # up[x]: every element reachable from x along the relations, x included
+        up: Dict[str, set] = {}
+        for x in elements:
+            seen, stack = {x}, [x]
+            while stack:
+                for y in above[stack.pop()] - seen:
+                    seen.add(y)
+                    stack.append(y)
+            up[x] = seen
+        for a in elements:
+            for b in sorted(up[a]):
+                if a != b and a in up[b]:
+                    raise ValidationError(f"poset axioms violated: {a} and {b} are comparable both ways")
         points = tuple(sorted(set(points)))
         for p in points:
             if p not in elements:
                 raise ValidationError(f"point {p} is not an element")
+        # a < b is a Hasse edge when no element lies strictly between; taking
+        # the strict up-set of a from the largest up-sets down meets every
+        # element after all elements below it
         hasse = []
-        for a, b in sorted(closure):
-            if a == b:
-                continue
-            if any(a != m != b and (a, m) in closure and (m, b) in closure for m in elements):
-                continue
-            hasse.append((a, b))
+        for a in elements:
+            reached = set()
+            for b in sorted(up[a] - {a}, key=lambda y: -len(up[y])):
+                if b not in reached:
+                    hasse.append((a, b))
+                    reached |= up[b]
+        closure = {(x, y) for x in elements for y in up[x]}
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "leq", frozenset(closure))
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "hasse", tuple(hasse))
+        object.__setattr__(self, "hasse", tuple(sorted(hasse)))
 
     def __setattr__(self, *a):
         raise AttributeError("FiniteSite is immutable")

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .absolute import DatumFlags, GeometricDatum, PairingData, ProperMapDatum, TraceData
-from .complexes import ChainMap, Complex, DoubleComplex, tensor
+from .complexes import ChainMap, Complex, DoubleComplex
 from .errors import ValidationError
 from .filtered import FilteredComplex, Filtration
 from .frames import CoefficientFrame, NumberField, parse_dim, parse_rational
@@ -160,12 +160,13 @@ def format_phc(m: PHodgeComplex, *, with_frame: bool = True):
     return out
 
 
-def _parse_degree_matrices(frame, data, shape_of) -> Dict[int, Matrix]:
+def _parse_pairing(frame, data, a: Complex, b: Complex) -> Dict[int, Matrix]:
+    """Degreewise matrices (a (x) b)^n -> b^n; dim (a (x) b)^n is the sum of
+    a^i b^(n-i), so no tensor complex is built."""
     out = {}
     for k, mat in data.items():
         n = int(k)
-        rows, cols = shape_of(n)
-        out[n] = parse_matrix(frame, mat, rows, cols)
+        out[n] = parse_matrix(frame, mat, b.dim(n), sum(dim * b.dim(n - i) for i, dim in a.dims.items()))
     return out
 
 
@@ -174,13 +175,10 @@ def parse_datum(data) -> GeometricDatum:
     rgamma = parse_phc(data["rgamma"], frame)
     rgamma_c = parse_phc(data["rgamma_c"], frame)
     d = parse_dim(data["d"], "d")
-    t_rig = tensor(rgamma.rig.complex, rgamma_c.rig.complex).complex
-    t_k = tensor(rgamma.k, rgamma_c.k).complex
-    t_dr = tensor(rgamma.dr.carrier, rgamma_c.dr.carrier).complex
     pairing = PairingData(
-        rig=_parse_degree_matrices(frame, data["pairing"].get("rig", {}), lambda n: (rgamma_c.rig.complex.dim(n), t_rig.dim(n))),
-        k=_parse_degree_matrices(frame, data["pairing"].get("k", {}), lambda n: (rgamma_c.k.dim(n), t_k.dim(n))),
-        dr=_parse_degree_matrices(frame, data["pairing"].get("dr", {}), lambda n: (rgamma_c.dr.carrier.dim(n), t_dr.dim(n))),
+        rig=_parse_pairing(frame, data["pairing"].get("rig", {}), rgamma.rig.complex, rgamma_c.rig.complex),
+        k=_parse_pairing(frame, data["pairing"].get("k", {}), rgamma.k, rgamma_c.k),
+        dr=_parse_pairing(frame, data["pairing"].get("dr", {}), rgamma.dr.carrier, rgamma_c.dr.carrier),
     )
     top = 2 * d
     trace = TraceData(

@@ -261,39 +261,15 @@ def direct_sum_phc(parts: Sequence[PHodgeComplex]) -> PHodgeComplex:
 
 
 def cone_phc(f: PHodgeMap) -> PHodgeComplex:
-    """Componentwise mapping cone with the inherited structure."""
-    m, n = f.source, f.target
-    rig_cone, _, _ = cone(f.f_rig)
-    k_cone, _, _ = cone(f.f_k)
-    dr_cone, _, _ = cone(f.f_dr)
-    phi = {}
-    for q in rig_cone.dims:
-        bt = n.rig.phi_at(q)
-        size = rig_cone.dim(q)
-        phi[q] = assemble(size, size, [(0, 0, bt), (bt.rows, bt.rows, m.rig.phi_at(q + 1))])
-    rig = FrobeniusComplex(m.frame, rig_cone, phi, check=False)
-    records: Dict[int, List[Tuple[int, Subspace]]] = {}
-    for q in dr_cone.dims:
-        levels = set(n.dr.filtration.jump_levels(q)) | set(m.dr.filtration.jump_levels(q + 1))
-        entry = []
-        for level in sorted(levels):
-            st = n.dr.level(q, level)
-            ss = m.dr.level(q + 1, level)
-            blocks = [(0, 0, st.basis), (n.dr.carrier.dim(q), st.dim, ss.basis)]
-            space = Subspace(dr_cone.dim(q), assemble(dr_cone.dim(q), st.dim + ss.dim, blocks))
-            if space.dim:
-                entry.append((level, space))
-        records[q] = jump_records(entry, dr_cone.dim(q))
-    dr = FilteredComplex(dr_cone, Filtration(dict(dr_cone.dims), records), check=False)
-    c_comps = {}
-    s_comps = {}
-    for q in k_cone.dims:
-        ct, st = n.c.component(q), n.s.component(q)
-        c_comps[q] = assemble(k_cone.dim(q), rig_cone.dim(q), [(0, 0, ct), (ct.rows, ct.cols, m.c.component(q + 1))])
-        s_comps[q] = assemble(k_cone.dim(q), dr_cone.dim(q), [(0, 0, st), (st.rows, st.cols, m.s.component(q + 1))])
-    c = ChainMap(rig_cone, k_cone, c_comps, check=False)
-    s = ChainMap(dr_cone, k_cone, s_comps, check=False)
-    return PHodgeComplex(m.frame, rig, dr, k_cone, c, s, check=False)
+    """Componentwise mapping cone: the structure of f.target (+) f.source[1]
+    on the three cone carriers."""
+    split = direct_sum_phc([f.target, shift_phc(f.source, 1)])
+    rig_cone, k_cone, dr_cone = (cone(g)[0] for g in (f.f_rig, f.f_k, f.f_dr))
+    rig = FrobeniusComplex(split.frame, rig_cone, split.rig.phi, check=False)
+    dr = FilteredComplex(dr_cone, split.dr.filtration, check=False)
+    c = ChainMap(rig_cone, k_cone, split.c.components, check=False)
+    s = ChainMap(dr_cone, k_cone, split.s.components, check=False)
+    return PHodgeComplex(split.frame, rig, dr, k_cone, c, s, check=False)
 
 
 def quasi_pushout(f: ChainMap, g: ChainMap) -> Tuple[Complex, ChainMap, ChainMap, Dict[int, Matrix]]:

@@ -117,15 +117,20 @@ def _pages_generic(f: FilteredComplex, r_max: Optional[int] = None) -> List[Spec
     return pages
 
 
-def pages(dc: DoubleComplex, direction: str = "col", r_max: Optional[int] = None) -> List[SpectralPage]:
-    """Spectral pages for the column ('col') or row ('row') filtration, through
-    stabilization by default."""
+def column_filtered(dc: DoubleComplex, direction: str = "col") -> FilteredComplex:
+    """The total complex of dc with its column ('col') or row ('row') filtration."""
     if direction == "row":
         dc = dc.transpose()
     elif direction != "col":
         raise ValidationError("direction must be 'col' or 'row'")
     total, layout = total_complex(dc)
-    return _pages_generic(FilteredComplex(total, _column_filtration(total, layout), check=False), r_max)
+    return FilteredComplex(total, _column_filtration(total, layout), check=False)
+
+
+def pages(dc: DoubleComplex, direction: str = "col", r_max: Optional[int] = None) -> List[SpectralPage]:
+    """Spectral pages for the column ('col') or row ('row') filtration, through
+    stabilization by default."""
+    return _pages_generic(column_filtered(dc, direction), r_max)
 
 
 def filtration_pages(fc: FilteredComplex, r_max: Optional[int] = None) -> List[SpectralPage]:
@@ -136,21 +141,16 @@ def filtration_pages(fc: FilteredComplex, r_max: Optional[int] = None) -> List[S
 def convergence_check(dc: DoubleComplex, direction: str = "col") -> bool:
     """Sum of stable page dimensions along each antidiagonal equals the total
     cohomology dimension."""
-    if direction == "row":
-        dc = dc.transpose()
-        direction = "col"
-    total, _ = total_complex(dc)
-    pgs = pages(dc, direction)
+    fc = column_filtered(dc, direction)
+    pgs = filtration_pages(fc)
     if not pgs:
         return True
     last = pgs[-1]
     if any(not m.is_zero() for m in last.differentials.values()):
         return False
-    degrees = sorted(total.dims) if total.dims else []
-    lo, hi = dc.p_range()
-    for n in degrees:
-        s = sum(last.dim(p, n - p) for p in range(lo - 1, hi + 2))
-        if s != total.cohomology(n).dim:
+    for n in fc.carrier.dims:
+        s = sum(e.dim for (p, q), e in last.entries.items() if p + q == n)
+        if s != fc.carrier.cohomology(n).dim:
             return False
     return True
 

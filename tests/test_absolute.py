@@ -7,21 +7,22 @@ import pytest
 
 from phodge.absolute import (
     DualityMachine,
-    ProperMapDatum,
+    SyntomicCone,
     abs_cohomology,
     abs_cohomology_compact,
     abs_homology,
     cup_absolute,
     duality_check,
+    ext_to_unit_cone,
     gysin_map,
     long_exact_sequence,
     syntomic_complex,
     unit_cone_matches_ext,
 )
-from phodge.errors import PreconditionError, ValidationError
+from phodge.errors import PreconditionError
 from phodge.ext import ExtComplex
-from phodge.linalg import Matrix
-from phodge.phc import PHodgeMap, tate_object, twist, unit_object
+from phodge.linalg import Matrix, assemble
+from phodge.phc import twist, unit_object
 
 from helpers import rand_phc
 
@@ -405,3 +406,110 @@ def test_leray_short_sequences(point_datum, p1_datum, gm_datum, elliptic_datum):
                 t0 = ExtComplex(twist(obj_n, i), unit).ext_dim(0) if obj_n else 0
                 t1 = ExtComplex(twist(obj_n1, i), unit).ext_dim(1) if obj_n1 else 0
                 assert lhs == t0 + t1, (datum.name, n, i, lhs, t0, t1)
+
+
+def _offset_syntomic(u):
+    """eta, projection and inclusion of the unit cone with every summand
+    offset worked out by hand: A = M0 (+) F^n, B = M0 (+) M_K."""
+    m = u.phc
+    p_pow = F(m.frame.p) ** (-u.twist)
+    eta = {}
+    for q in u.a_complex.dims:
+        d0 = m.rig.complex.dim(q)
+        blocks = [(0, 0, m.rig.phi_at(q).scale(p_pow) - Matrix.identity(d0)), (d0, 0, m.c.component(q))]
+        if u.fsub.dim(q):
+            blocks.append((d0, d0, -(m.s.component(q) * u.fsub_incl.component(q))))
+        eta[q] = assemble(u.b_complex.dim(q), u.a_complex.dim(q), blocks)
+    proj = {}
+    for q in u.total.dims:
+        rows = u.a_complex.dim(q)
+        proj[q] = assemble(rows, u.total.dim(q), [(0, u.b_complex.dim(q - 1), Matrix.identity(rows))])
+    incl = {}
+    for q in u.b_complex.dims:
+        incl[q + 1] = assemble(u.total.dim(q + 1), u.b_complex.dim(q), [(0, 0, Matrix.identity(u.b_complex.dim(q)))])
+    return eta, proj, incl
+
+
+def _offset_collapse(e, u):
+    """ext_to_unit_cone by hand: Gamma1^{q-1} = h_rr (+) h_rk (+) h_dk and
+    Gamma0^q = h_rr (+) h_kk (+) h_ff, each after the Gamma1 part."""
+    m = u.phc
+    comps = {}
+    for q in e.total.dims:
+        d0 = m.rig.complex.dim(q - 1)
+        o_e = e.h_rr.complex.dim(q - 1)
+        o_f = o_e + e.h_rk.complex.dim(q - 1)
+        id_k = Matrix.identity(m.k.dim(q - 1))
+        blocks = [(0, 0, Matrix.identity(d0)), (d0, o_e, id_k), (d0, o_f, id_k)]
+        base_r, base_c = u.b_complex.dim(q - 1), e.gamma1.dim(q - 1)
+        d0q = m.rig.complex.dim(q)
+        blocks.append((base_r, base_c, Matrix.identity(d0q)))
+        if e.h_ff.complex.dim(q):
+            trans = m.dr.level(q, u.twist).coords_matrix(e.h_ff.bases[q].basis)
+            o_c = e.h_rr.complex.dim(q) + e.h_kk.complex.dim(q)
+            blocks.append((base_r + d0q, base_c + o_c, trans))
+        comps[q] = assemble(u.total.dim(q), e.total.dim(q), blocks)
+    return comps
+
+
+def _offset_modified(dm):
+    """psi_prime: M0 (+) M_dR (+) F^i -> M0 (+) M_K (+) M_dR, and the map of
+    its shifted cone into the Hom cone, by hand."""
+    m, e = dm.x.rgamma, dm.e_gamma
+    fsub_incl = dm.m_fsub_incl
+    p_pow = F(m.frame.p) ** (-dm.i)
+    psi = {}
+    for q in dm.m_a.dims:
+        d0, dk, ddr = m.rig.complex.dim(q), m.k.dim(q), m.dr.carrier.dim(q)
+        blocks = [
+            (0, 0, m.rig.phi_at(q).scale(p_pow) - Matrix.identity(d0)),
+            (d0, 0, m.c.component(q)),
+            (d0, d0, -m.s.component(q)),
+            (d0 + dk, d0, Matrix.identity(ddr)),
+        ]
+        if fsub_incl.source.dim(q):
+            blocks.append((d0 + dk, d0 + ddr, -fsub_incl.component(q)))
+        psi[q] = assemble(dm.m_b.dim(q), dm.m_a.dim(q), blocks)
+    to_gamma = {}
+    for q in dm.modified.dims:
+        d0, dk = m.rig.complex.dim(q - 1), m.k.dim(q - 1)
+        o_e = e.h_rr.complex.dim(q - 1)
+        o_f = o_e + e.h_rk.complex.dim(q - 1)
+        blocks = [(0, 0, Matrix.identity(d0)), (o_e, d0, Matrix.identity(dk)), (o_f, d0 + dk, m.s.component(q - 1))]
+        base_r, base_c = e.gamma1.dim(q - 1), dm.m_b.dim(q - 1)
+        d0q, ddr = m.rig.complex.dim(q), m.dr.carrier.dim(q)
+        o_b = e.h_rr.complex.dim(q)
+        blocks += [(base_r, base_c, Matrix.identity(d0q)), (base_r + o_b, base_c + d0q, m.s.component(q))]
+        if fsub_incl.source.dim(q):
+            trans = e.h_ff.bases[q].coords_matrix(fsub_incl.component(q))
+            blocks.append((base_r + o_b + e.h_kk.complex.dim(q), base_c + d0q + ddr, trans))
+        to_gamma[q] = assemble(e.total.dim(q), dm.modified.dim(q), blocks)
+    return psi, to_gamma
+
+
+def _assert_components(f, comps, label):
+    for q in set(f.source.dims) | set(comps):
+        expected = comps.get(q, Matrix.zeros(f.target.dim(q), f.source.dim(q)))
+        assert f.component(q) == expected, (label, q)
+
+
+def test_cone_maps_match_offset_reference(frame, point_datum, p1_datum, gm_datum, elliptic_datum):
+    data = (point_datum, p1_datum, gm_datum, elliptic_datum)
+    rng = random.Random(88)
+    objects = [(x.name, m) for x in data for m in (x.rgamma, x.rgamma_c)]
+    objects += [(f"random {k}", rand_phc(rng, frame, lo=-1, hi=1, max_dim=3)) for k in range(6)]
+    for name, m in objects:
+        for i in (-1, 0, 1, 2):
+            u = SyntomicCone(m, i)
+            eta, proj, incl = _offset_syntomic(u)
+            _assert_components(u.eta, eta, (name, i, "eta"))
+            _assert_components(u.projection_to_sum(), proj, (name, i, "projection"))
+            _assert_components(u.inclusion_of_shifted(), incl, (name, i, "inclusion"))
+            e = ExtComplex(unit_object(m.frame), twist(m, i))
+            _assert_components(ext_to_unit_cone(e, u), _offset_collapse(e, u), (name, i, "collapse"))
+    for x in data:
+        for i in (-1, 0, 1, 2):
+            dm = DualityMachine(x, i)
+            psi, to_gamma = _offset_modified(dm)
+            _assert_components(dm.psi_prime, psi, (x.name, i, "psi_prime"))
+            _assert_components(dm.modified_to_gamma, to_gamma, (x.name, i, "modified_to_gamma"))

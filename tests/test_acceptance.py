@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from phodge import io as pio
 from phodge.absolute import (
     abs_cohomology,
     duality_check,
@@ -27,9 +26,9 @@ from phodge.complexes import Complex
 from phodge.errors import PreconditionError
 from phodge.ext import ExtComplex, cup_product, quasi_iso_invariance
 from phodge.filtered import is_strict_complex
-from phodge.godement import bar_is_quasi_iso, constant_sheaf, indicator_sheaf, pullback_bar_is_quasi_iso, sheaf_cohomology
+from phodge.godement import bar_is_quasi_iso, pullback_bar_is_quasi_iso, sheaf_cohomology
 from phodge.linalg import Matrix
-from phodge.phc import tate_object, tensor_phc, twist, unit_object
+from phodge.phc import tate_object, tensor_phc, unit_object
 from phodge.spectral import convergence_check, degenerates_at_e1, simplicial_collapse
 
 from helpers import (

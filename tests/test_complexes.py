@@ -18,7 +18,7 @@ from phodge.complexes import (
 from phodge.errors import ValidationError
 from phodge.linalg import Matrix, Subspace, assemble, kron
 
-from helpers import rand_chain_map, rand_chain_self_map, rand_complex, rand_filtered_complex
+from helpers import rand_chain_map, rand_complex, rand_filtered_complex
 
 
 def test_dd_zero_enforced():

@@ -12,7 +12,6 @@ from phodge.phc import (
     direct_sum_phc,
     tate_object,
     tensor_phc,
-    twist,
     unit_object,
 )
 

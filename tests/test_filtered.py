@@ -18,9 +18,8 @@ from phodge.filtered import (
 )
 from phodge.linalg import Matrix, Subspace
 from phodge.phc import tate_object
-from phodge.frames import CoefficientFrame
 
-from helpers import rand_filtered_complex, rand_complex, rand_d_stable_filtration
+from helpers import rand_filtered_complex
 
 
 def two_step_flag():
@@ -180,8 +179,6 @@ def test_filtered_quasi_iso_direct_sum_with_strict_acyclic():
     acyclic = FilteredComplex.with_trivial_filtration(
         Complex({0: 1, 1: 1}, {0: Matrix.identity(1)})
     )
-    from phodge.phc import direct_sum_phc  # not applicable; build by hand
-
     # direct sum at the filtered level
     carrier = Complex({0: 3, 1: 1}, {0: Matrix.from_rows([[0, 0, 1]])})
     recs = {

@@ -61,8 +61,6 @@ def test_cone_of_equivariant_quasi_iso_conjugate_action(frame):
         acy_base = rand_complex(rng, max_dim=2)
         acy_phi = rand_chain_self_map(rng, acy_base)
         big_c, incl, _ = cone(ChainMap.identity(acy_base))
-        from phodge.phc import cone_phc  # noqa: F401  (structure built by hand below)
-
         # direct sum complex with blockwise phi
         from phodge.complexes import direct_sum
 

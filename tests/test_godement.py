@@ -1,11 +1,14 @@
+import json
+import random
+
 import pytest
 
+from phodge import io as pio
 from phodge.errors import PreconditionError, ValidationError
 from phodge.godement import (
     BarResolution,
     FiniteSite,
     Pushforward,
-    Sheaf,
     SheafMap,
     SiteMap,
     bar_is_quasi_iso,
@@ -49,6 +52,54 @@ def test_site_validation():
     s = FiniteSite(["a", "b", "c"], [("a", "b"), ("b", "c")], ["a"])
     assert s.le("a", "c") and s.height == 2
     assert not s.has_enough_points
+
+
+def _pairwise_order(elements, relations):
+    """The order and Hasse edges by the fixed point of composing every pair
+    of relations with every other, the loader's earlier closure; None when
+    two elements are comparable both ways."""
+    closure = {(x, x) for x in elements} | set(relations)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(closure):
+            for c, d in list(closure):
+                if b == c and (a, d) not in closure:
+                    closure.add((a, d))
+                    changed = True
+    if any(a != b and (b, a) in closure for a, b in closure):
+        return None
+    hasse = [
+        (a, b)
+        for a, b in sorted(closure)
+        if a != b and not any(a != m != b and (a, m) in closure and (m, b) in closure for m in elements)
+    ]
+    return frozenset(closure), tuple(hasse)
+
+
+def test_site_order_matches_pairwise_closure():
+    cases = []
+    for name in ("sierpinski.site", "sierpinski_nopoints.site", "pseudocircle.site", "sphere.site"):
+        data = json.loads(pio.corpus_path(name).read_text())
+        cases.append((data["elements"], [tuple(r) for r in data["leq"]]))
+    rng = random.Random(431)
+    for _ in range(40):
+        names = [f"x{i}" for i in range(rng.randint(1, 12))]
+        rng.shuffle(names)
+        # relations follow the shuffled order, so they form a poset
+        relations = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < 0.3]
+        if relations and rng.random() < 0.25:
+            a, b = rng.choice(relations)
+            relations.append((b, a) if rng.random() < 0.5 else (names[-1], names[0]))
+        cases.append((names, relations))
+    for elements, relations in cases:
+        expected = _pairwise_order(elements, relations)
+        if expected is None:
+            with pytest.raises(ValidationError, match="comparable both ways"):
+                FiniteSite(elements, relations, [])
+            continue
+        site = FiniteSite(elements, relations, [])
+        assert (site.leq, site.hasse) == expected, (elements, relations)
 
 
 def test_one_point_and_discrete_adjunction():

@@ -1,11 +1,12 @@
-"""Source hygiene: every name a module of the package imports is used in it,
-every module-level private function or class is used somewhere, and every
-import sits at module level."""
+"""Source hygiene: every name a module of the package or a test module
+imports is used in it, every module-level private function or class is used
+somewhere, and every import sits at module level."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "phodge"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "phodge"
 
 
 def _annotation_names(node: ast.AST):
@@ -107,12 +108,22 @@ def test_checker_sees_unused_and_string_annotation_uses():
     assert unused_imports(source) == [(2, "kron"), (3, "json")]
 
 
-def test_no_unused_imports_in_src():
+def _unused_imports_in(directory: Path):
     found = {}
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         unused = unused_imports(path.read_text())
         if unused:
             found[path.name] = unused
+    return found
+
+
+def test_no_unused_imports_in_src():
+    found = _unused_imports_in(SRC)
+    assert not found, found
+
+
+def test_no_unused_imports_in_tests():
+    found = _unused_imports_in(TESTS)
     assert not found, found
 
 

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from phodge import io as pio
-from phodge.absolute import GeometricDatum
 from phodge.cli import main
 from phodge.errors import ValidationError
 from phodge.frames import PRIME_CAP, _is_prime
@@ -274,6 +273,16 @@ def test_cli_validates_a_61_bit_prime_quickly(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["validate", path]) == 0
     assert time.perf_counter() - start < 1.0
+    assert "valid" in capsys.readouterr().out
+
+
+def test_cli_validates_a_300_element_chain_site_quickly(tmp_path, capsys):
+    names = [f"e{i:03d}" for i in range(300)]
+    path = tmp_path / "chain.site"
+    path.write_text(json.dumps({"kind": "site", "elements": names, "leq": list(zip(names, names[1:])), "points": names}))
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 0
+    assert time.perf_counter() - start < 5.0
     assert "valid" in capsys.readouterr().out
 
 

@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from phodge.complexes import ChainMap, Complex
+from phodge.complexes import ChainMap, Complex, cone
 from phodge.errors import PreconditionError, ValidationError
-from phodge.filtered import FilteredComplex, Filtration
+from phodge.filtered import FilteredComplex, Filtration, jump_records
 from phodge.frobenius import FrobeniusComplex
-from phodge.linalg import Matrix, Subspace
+from phodge.frames import CoefficientFrame
+from phodge.linalg import Matrix, Subspace, assemble
 from phodge.phc import (
     PHodgeComplex,
     PHodgeMap,
@@ -123,6 +124,48 @@ def test_cone_phc_of_quasi_iso_acyclic(frame):
     g = rand_quasi_iso_extension(rng, m)
     assert cone_phc(g).is_acyclic()
     assert cone_phc(PHodgeMap.identity(m)).is_acyclic()
+
+
+def _blockwise_cone_phc(f):
+    """The componentwise cone with its Frobenius, filtration records and
+    comparison maps placed block by block: degree q is target^q (+) source^(q+1)."""
+    m, n = f.source, f.target
+    rig_cone, k_cone, dr_cone = (cone(g)[0] for g in (f.f_rig, f.f_k, f.f_dr))
+    phi = {}
+    for q in rig_cone.dims:
+        bt = n.rig.phi_at(q)
+        phi[q] = assemble(rig_cone.dim(q), rig_cone.dim(q), [(0, 0, bt), (bt.rows, bt.rows, m.rig.phi_at(q + 1))])
+    records = {}
+    for q in dr_cone.dims:
+        entry = []
+        for level in sorted(set(n.dr.filtration.jump_levels(q)) | set(m.dr.filtration.jump_levels(q + 1))):
+            st, ss = n.dr.level(q, level), m.dr.level(q + 1, level)
+            blocks = [(0, 0, st.basis), (n.dr.carrier.dim(q), st.dim, ss.basis)]
+            space = Subspace(dr_cone.dim(q), assemble(dr_cone.dim(q), st.dim + ss.dim, blocks))
+            if space.dim:
+                entry.append((level, space))
+        records[q] = jump_records(entry, dr_cone.dim(q))
+    c, s = {}, {}
+    for q in k_cone.dims:
+        ct, st = n.c.component(q), n.s.component(q)
+        c[q] = assemble(k_cone.dim(q), rig_cone.dim(q), [(0, 0, ct), (ct.rows, ct.cols, m.c.component(q + 1))])
+        s[q] = assemble(k_cone.dim(q), dr_cone.dim(q), [(0, 0, st), (st.rows, st.cols, m.s.component(q + 1))])
+    return rig_cone, phi, dr_cone, records, k_cone, c, s
+
+
+def test_cone_phc_matches_blockwise_reference():
+    rng = random.Random(7)
+    frame = CoefficientFrame(p=5)
+    for _ in range(60):
+        m = rand_phc(rng, frame)
+        for f in (PHodgeMap.identity(m), rand_quasi_iso_extension(rng, m)):
+            got = cone_phc(f)
+            rig_cone, phi, dr_cone, records, k_cone, c, s = _blockwise_cone_phc(f)
+            assert (got.rig.complex, got.dr.carrier, got.k) == (rig_cone, dr_cone, k_cone)
+            assert all(got.rig.phi_at(q) == phi[q] for q in rig_cone.dims)
+            assert got.dr.filtration.records == Filtration(dr_cone.dims, records).records
+            assert all(got.c.component(q) == c[q] and got.s.component(q) == s[q] for q in k_cone.dims)
+            assert set(got.c.components) <= set(k_cone.dims) and set(got.s.components) <= set(k_cone.dims)
 
 
 def test_quasi_pushout_properties(frame):

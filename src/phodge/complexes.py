@@ -1,7 +1,8 @@
 """Bounded cochain complexes of finite-dimensional vector spaces.
 
 Complexes store per-degree dimensions and differentials; d∘d = 0 is checked
-at construction.  Sign conventions are fixed once here:
+at construction unless check=False, and Complex.checked records which.  Sign
+conventions are fixed once here:
 
 * shift(c, k) has degree-n term c^{n+k} and differential (-1)^k d;
 * cone(f: A -> B) has degree-n term B^n (+) A^{n+1} and differential
@@ -39,7 +40,7 @@ ZERO = Fraction(0)
 class Complex:
     """A bounded complex; dims maps degree to a positive dimension."""
 
-    __slots__ = ("dims", "d", "_cohomology")
+    __slots__ = ("dims", "d", "checked", "_cohomology")
 
     def __init__(self, dims: Dict[int, int], differentials: Dict[int, Matrix], *, check: bool = True):
         dims = {int(n): int(k) for n, k in dims.items() if k > 0}
@@ -53,6 +54,7 @@ class Complex:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_cohomology", {})
+        object.__setattr__(self, "checked", check)
         if check:
             for n in list(d):
                 if dims.get(n + 2, 0) and dims.get(n, 0):
@@ -120,42 +122,61 @@ class Complex:
 
 
 class Cohomology:
-    """H^n of a complex: dimension, cocycle representatives, class projection."""
+    """H^n of a complex: dimension, cocycle representatives, class projection.
 
-    __slots__ = ("complex", "degree", "dim", "representatives", "_cocycles", "_class_proj")
+    dim is dim C^n - rank d^n - rank d^{n-1}, two ranks read off the RREFs
+    each Matrix memoizes.  The cocycle subspace, the class projection and the
+    representatives are built together on the first use of representatives,
+    cocycles, project or class_matrix.  For a complex built with check=False,
+    d^n d^{n-1} = 0 is checked first, with the error the full build raises.
+    """
+
+    __slots__ = ("complex", "degree", "dim", "_built")
 
     def __init__(self, c: Complex, n: int):
-        z = Subspace(c.dim(n), c.diff(n).kernel_basis())
-        b_in_z = z.coords_matrix(c.diff(n - 1))
-        if b_in_z is None:
+        d_out, d_in = c.d.get(n), c.d.get(n - 1)
+        if d_out is not None and d_in is not None and not c.checked and not (d_out * d_in).is_zero():
             raise ValidationError("image of d is not contained in the kernel")
-        proj, sect = Subspace(z.dim, b_in_z).quotient()
         object.__setattr__(self, "complex", c)
         object.__setattr__(self, "degree", n)
-        object.__setattr__(self, "dim", proj.rows)
-        object.__setattr__(self, "representatives", z.basis * sect)
-        object.__setattr__(self, "_cocycles", z)
-        object.__setattr__(self, "_class_proj", proj)
+        object.__setattr__(self, "dim", c.dim(n) - sum(m.rank for m in (d_out, d_in) if m is not None))
+        object.__setattr__(self, "_built", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Cohomology is immutable")
 
+    def _build(self) -> Tuple[Subspace, Matrix, Matrix]:
+        """(cocycles, class projection, representatives), built on first use."""
+        if self._built is None:
+            c, n = self.complex, self.degree
+            z = Subspace(c.dim(n), c.diff(n).kernel_basis())
+            # d^n d^{n-1} = 0 holds (checked or verified above), so Im d^{n-1} ⊂ z
+            proj, sect = Subspace(z.dim, z.coords_matrix(c.diff(n - 1))).quotient()
+            object.__setattr__(self, "_built", (z, proj, z.basis * sect))
+        return self._built
+
+    @property
+    def representatives(self) -> Matrix:
+        return self._build()[2]
+
     @property
     def cocycles(self) -> Subspace:
-        return self._cocycles
+        return self._build()[0]
 
     def project(self, vec: Sequence) -> Tuple:
         """Class coordinates of a cocycle; kills exactly the coboundaries."""
-        coords = self._cocycles.coords_of(vec)
+        z, proj, _ = self._build()
+        coords = z.coords_of(vec)
         if coords is None:
             raise ValidationError("vector is not a cocycle")
-        return self._class_proj.apply(coords)
+        return proj.apply(coords)
 
     def class_matrix(self, vectors: Matrix) -> Matrix:
-        coords = self._cocycles.coords_matrix(vectors)
+        z, proj, _ = self._build()
+        coords = z.coords_matrix(vectors)
         if coords is None:
             raise ValidationError("some column is not a cocycle")
-        return self._class_proj * coords
+        return proj * coords
 
 
 class ChainMap:

@@ -75,18 +75,22 @@ class FiniteSite:
 
     @property
     def height(self) -> int:
+        """The length of the longest strict chain.  x < y makes the up-set of
+        y a proper part of x's, so by ascending up-set size every element
+        comes after the elements covering it; a longest chain runs along
+        Hasse edges."""
         if not self.elements:
             return 0
-        memo: Dict[str, int] = {}
-
-        def depth(x: str) -> int:
-            if x not in memo:
-                memo[x] = 1 + max(
-                    (depth(y) for y in self.elements if y != x and self.le(x, y)), default=0
-                )
-            return memo[x]
-
-        return max(depth(x) for x in self.elements) - 1
+        size = dict.fromkeys(self.elements, 0)
+        for x, _ in self.leq:
+            size[x] += 1
+        covers: Dict[str, List[str]] = {x: [] for x in self.elements}
+        for x, y in self.hasse:
+            covers[x].append(y)
+        depth: Dict[str, int] = {}
+        for x in sorted(self.elements, key=size.__getitem__):
+            depth[x] = 1 + max((depth[y] for y in covers[x]), default=0)
+        return max(depth.values()) - 1
 
     @property
     def has_enough_points(self) -> bool:

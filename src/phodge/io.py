@@ -4,12 +4,14 @@ Everything is JSON with a "kind" discriminator.  Matrices are arrays of rows
 of exact scalar strings ("num/den"); extension scalars are coefficient arrays
 in the power basis.  Every loaded object passes through the constructors, so
 all structural invariants are revalidated on load and failures name the
-violated invariant.
+violated invariant: a missing required key or a degree key that is not an
+integer exits with code 2 and names the key.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -23,6 +25,30 @@ from .frobenius import FrobeniusComplex
 from .linalg import Matrix, Subspace
 from .godement import FiniteSite, Sheaf, constant_sheaf, indicator_sheaf
 from .phc import PHodgeComplex, PHodgeMap, Zigzag
+
+_INTEGER_STRING = re.compile(r"[+-]?[0-9]+")
+
+
+def _required(data, key: str, where: str = ""):
+    """data[key] for a key the format requires; a missing key, or data that is
+    not a JSON object, fails naming the key."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where or 'the file'} must be a JSON object holding {name!r}")
+    if key not in data:
+        raise ValidationError(f"missing required key {name!r}")
+    return data[key]
+
+
+def _degree(key: str, where: str, parts: int = 1):
+    """The integer of a degree key "n", or the pair of a bidegree key "p,q"
+    (parts=2); anything else fails naming the key."""
+    fields = key.split(",")
+    if len(fields) != parts or not all(_INTEGER_STRING.fullmatch(f) for f in fields):
+        what = "a degree" if parts == 1 else "a bidegree p,q"
+        raise ValidationError(f"{where}: key {key!r} is not {what} of integers")
+    values = tuple(int(f) for f in fields)
+    return values[0] if parts == 1 else values
 
 
 def parse_matrix(frame: Optional[CoefficientFrame], data, rows: int, cols: int, where: str = "matrix") -> Matrix:
@@ -42,13 +68,14 @@ def format_matrix(frame: Optional[CoefficientFrame], m: Matrix):
 
 
 def parse_frame(data) -> CoefficientFrame:
-    p = parse_rational(data["p"], "frame p")
+    p = parse_rational(_required(data, "p", "frame"), "frame p")
     if p.denominator != 1:
         raise ValidationError(f"frame p: {p} is not an integer")
     ext = data.get("extension")
     if ext is None:
         return CoefficientFrame(p=int(p))
-    nf = NumberField([parse_rational(c, f"extension modulus[{i}]") for i, c in enumerate(ext["modulus"])])
+    modulus = _required(ext, "modulus", "frame.extension")
+    nf = NumberField([parse_rational(c, f"extension modulus[{i}]") for i, c in enumerate(modulus)])
     sigma = ext.get("sigma")
     return CoefficientFrame(
         p=int(p),
@@ -67,10 +94,10 @@ def format_frame(frame: CoefficientFrame):
 
 
 def parse_complex(frame, data) -> Complex:
-    dims = {int(k): parse_dim(v, f"dims[{k}]") for k, v in data.get("dims", {}).items()}
+    dims = {_degree(k, "dims"): parse_dim(v, f"dims[{k}]") for k, v in data.get("dims", {}).items()}
     d = {}
     for k, mat in data.get("d", {}).items():
-        n = int(k)
+        n = _degree(k, "d")
         d[n] = parse_matrix(frame, mat, dims.get(n + 1, 0), dims.get(n, 0), f"d[{k}]")
     return Complex(dims, d)
 
@@ -87,7 +114,7 @@ def format_complex(frame, c: Complex):
 def parse_chain_map(frame, data, source: Complex, target: Complex) -> ChainMap:
     comps = {}
     for k, mat in data.get("components", {}).items():
-        n = int(k)
+        n = _degree(k, "components")
         comps[n] = parse_matrix(frame, mat, target.dim(n), source.dim(n), f"components[{k}]")
     return ChainMap(source, target, comps)
 
@@ -97,15 +124,15 @@ def format_chain_map(frame, f: ChainMap):
 
 
 def parse_filtered(frame, data) -> FilteredComplex:
-    carrier = parse_complex(frame, data["complex"])
+    carrier = parse_complex(frame, _required(data, "complex"))
     records = {}
     for deg, levels in data.get("filtration", {}).items():
-        n = int(deg)
+        n = _degree(deg, "filtration")
         entry = []
         for level, basis in levels.items():
             cols = len(basis[0]) if basis else 0
             m = parse_matrix(frame, basis, carrier.dim(n), cols, f"filtration[{deg}][{level}]")
-            entry.append((int(level), Subspace(carrier.dim(n), m)))
+            entry.append((_degree(level, f"filtration[{deg}]"), Subspace(carrier.dim(n), m)))
         records[n] = entry
     return FilteredComplex(carrier, Filtration(dict(carrier.dims), records))
 
@@ -121,10 +148,10 @@ def format_filtered(frame, fc: FilteredComplex):
 
 
 def parse_frobenius(frame, data) -> FrobeniusComplex:
-    c = parse_complex(frame, data["complex"])
+    c = parse_complex(frame, _required(data, "complex"))
     phi = {}
     for k, mat in data.get("phi", {}).items():
-        n = int(k)
+        n = _degree(k, "phi")
         phi[n] = parse_matrix(frame, mat, c.dim(n), c.dim(n))
     return FrobeniusComplex(frame, c, phi)
 
@@ -138,12 +165,12 @@ def format_frobenius(frame, fc: FrobeniusComplex):
 
 def parse_phc(data, frame: Optional[CoefficientFrame] = None) -> PHodgeComplex:
     if frame is None:
-        frame = parse_frame(data["frame"])
-    rig = parse_frobenius(frame, data["rig"])
-    dr = parse_filtered(frame, data["dr"])
-    k = parse_complex(frame, data["k"])
-    c = parse_chain_map(frame, data["c"], rig.complex, k)
-    s = parse_chain_map(frame, data["s"], dr.carrier, k)
+        frame = parse_frame(_required(data, "frame"))
+    rig = parse_frobenius(frame, _required(data, "rig"))
+    dr = parse_filtered(frame, _required(data, "dr"))
+    k = parse_complex(frame, _required(data, "k"))
+    c = parse_chain_map(frame, _required(data, "c"), rig.complex, k)
+    s = parse_chain_map(frame, _required(data, "s"), dr.carrier, k)
     return PHodgeComplex(frame, rig, dr, k, c, s)
 
 
@@ -160,38 +187,41 @@ def format_phc(m: PHodgeComplex, *, with_frame: bool = True):
     return out
 
 
-def _parse_pairing(frame, data, a: Complex, b: Complex) -> Dict[int, Matrix]:
+def _parse_pairing(frame, data, a: Complex, b: Complex, where: str) -> Dict[int, Matrix]:
     """Degreewise matrices (a (x) b)^n -> b^n; dim (a (x) b)^n is the sum of
     a^i b^(n-i), so no tensor complex is built."""
     out = {}
     for k, mat in data.items():
-        n = int(k)
+        n = _degree(k, where)
         out[n] = parse_matrix(frame, mat, b.dim(n), sum(dim * b.dim(n - i) for i, dim in a.dims.items()))
     return out
 
 
 def parse_datum(data) -> GeometricDatum:
-    frame = parse_frame(data["frame"])
-    rgamma = parse_phc(data["rgamma"], frame)
-    rgamma_c = parse_phc(data["rgamma_c"], frame)
-    d = parse_dim(data["d"], "d")
+    frame = parse_frame(_required(data, "frame"))
+    rgamma = parse_phc(_required(data, "rgamma"), frame)
+    rgamma_c = parse_phc(_required(data, "rgamma_c"), frame)
+    d = parse_dim(_required(data, "d"), "d")
+    pairing = _required(data, "pairing")
     pairing = PairingData(
-        rig=_parse_pairing(frame, data["pairing"].get("rig", {}), rgamma.rig.complex, rgamma_c.rig.complex),
-        k=_parse_pairing(frame, data["pairing"].get("k", {}), rgamma.k, rgamma_c.k),
-        dr=_parse_pairing(frame, data["pairing"].get("dr", {}), rgamma.dr.carrier, rgamma_c.dr.carrier),
+        rig=_parse_pairing(frame, pairing.get("rig", {}), rgamma.rig.complex, rgamma_c.rig.complex, "pairing.rig"),
+        k=_parse_pairing(frame, pairing.get("k", {}), rgamma.k, rgamma_c.k, "pairing.k"),
+        dr=_parse_pairing(frame, pairing.get("dr", {}), rgamma.dr.carrier, rgamma_c.dr.carrier, "pairing.dr"),
     )
     top = 2 * d
+    trace = _required(data, "trace")
     trace = TraceData(
-        rig=parse_matrix(frame, data["trace"]["rig"], 1, rgamma_c.rig.complex.dim(top)),
-        k=parse_matrix(frame, data["trace"]["k"], 1, rgamma_c.k.dim(top)),
-        dr=parse_matrix(frame, data["trace"]["dr"], 1, rgamma_c.dr.carrier.dim(top)),
+        rig=parse_matrix(frame, _required(trace, "rig", "trace"), 1, rgamma_c.rig.complex.dim(top)),
+        k=parse_matrix(frame, _required(trace, "k", "trace"), 1, rgamma_c.k.dim(top)),
+        dr=parse_matrix(frame, _required(trace, "dr", "trace"), 1, rgamma_c.dr.carrier.dim(top)),
     )
+    flags = _required(data, "flags")
     flags = DatumFlags(
-        c_quasi_iso=bool(data["flags"]["c_quasi_iso"]),
-        s_quasi_iso=bool(data["flags"]["s_quasi_iso"]),
-        phi_invertible=bool(data["flags"]["phi_invertible"]),
+        c_quasi_iso=bool(_required(flags, "c_quasi_iso", "flags")),
+        s_quasi_iso=bool(_required(flags, "s_quasi_iso", "flags")),
+        phi_invertible=bool(_required(flags, "phi_invertible", "flags")),
     )
-    return GeometricDatum(data["name"], d, frame, rgamma, rgamma_c, pairing, trace, flags)
+    return GeometricDatum(_required(data, "name"), d, frame, rgamma, rgamma_c, pairing, trace, flags)
 
 
 def format_datum(x: GeometricDatum):
@@ -222,20 +252,20 @@ def format_datum(x: GeometricDatum):
 
 
 def parse_proper_map(data) -> ProperMapDatum:
-    source = parse_datum(data["source"])
-    target = parse_datum(data["target"])
+    source = parse_datum(_required(data, "source"))
+    target = parse_datum(_required(data, "target"))
     frame = source.frame
     nc_y, nc_x = target.rgamma_c, source.rgamma_c
-    pb = data["pullback"]
+    pb = _required(data, "pullback")
     f_rig = parse_chain_map(frame, {"components": pb.get("rig", {})}, nc_y.rig.complex, nc_x.rig.complex)
     f_k = parse_chain_map(frame, {"components": pb.get("k", {})}, nc_y.k, nc_x.k)
     f_dr = parse_chain_map(frame, {"components": pb.get("dr", {})}, nc_y.dr.carrier, nc_x.dr.carrier)
     pullback = PHodgeMap(nc_y, nc_x, f_rig, f_k, f_dr)
-    return ProperMapDatum(data["name"], source, target, pullback)
+    return ProperMapDatum(_required(data, "name"), source, target, pullback)
 
 
 def parse_site(data) -> FiniteSite:
-    return FiniteSite(data["elements"], [tuple(r) for r in data.get("leq", [])], data.get("points", []))
+    return FiniteSite(_required(data, "elements"), [tuple(r) for r in data.get("leq", [])], data.get("points", []))
 
 
 def format_site(site: FiniteSite):
@@ -255,8 +285,9 @@ def parse_sheaf(data, site: FiniteSite) -> Sheaf:
     values = {k: parse_dim(v, f"values[{k}]") for k, v in data.get("values", {}).items()}
     maps = {}
     for entry in data.get("maps", []):
-        a, b = entry["from"], entry["to"]
-        maps[(a, b)] = parse_matrix(None, entry["matrix"], values.get(b, 0), values.get(a, 0), f"map {a}->{b}")
+        a, b = _required(entry, "from", "maps[]"), _required(entry, "to", "maps[]")
+        mat = _required(entry, "matrix", "maps[]")
+        maps[(a, b)] = parse_matrix(None, mat, values.get(b, 0), values.get(a, 0), f"map {a}->{b}")
     return Sheaf(site, values, maps)
 
 
@@ -271,19 +302,14 @@ def format_sheaf(f: Sheaf):
 def parse_double_complex(data) -> DoubleComplex:
     spaces = {}
     for key, v in data.get("spaces", {}).items():
-        p, q = key.split(",")
-        spaces[(int(p), int(q))] = parse_dim(v, f"spaces[{key}]")
-
-    def get(d, p, q):
-        return d.get(f"{p},{q}")
-
+        spaces[_degree(key, "spaces", 2)] = parse_dim(v, f"spaces[{key}]")
     dh = {}
     dv = {}
     for key, mat in data.get("d_h", {}).items():
-        p, q = (int(t) for t in key.split(","))
+        p, q = _degree(key, "d_h", 2)
         dh[(p, q)] = parse_matrix(None, mat, spaces.get((p + 1, q), 0), spaces.get((p, q), 0), f"d_h[{key}]")
     for key, mat in data.get("d_v", {}).items():
-        p, q = (int(t) for t in key.split(","))
+        p, q = _degree(key, "d_v", 2)
         dv[(p, q)] = parse_matrix(None, mat, spaces.get((p, q + 1), 0), spaces.get((p, q), 0), f"d_v[{key}]")
     return DoubleComplex(spaces, dh, dv)
 
@@ -298,15 +324,15 @@ def format_double_complex(dc: DoubleComplex):
 
 
 def parse_zigzag(data) -> Zigzag:
-    frame = parse_frame(data["frame"])
-    rig_end = parse_frobenius(frame, data["rig_end"])
-    dr_end = parse_filtered(frame, data["dr_end"])
+    frame = parse_frame(_required(data, "frame"))
+    rig_end = parse_frobenius(frame, _required(data, "rig_end"))
+    dr_end = parse_filtered(frame, _required(data, "dr_end"))
     middles = [parse_complex(frame, c) for c in data.get("middle", [])]
     nodes = [rig_end] + middles + [dr_end]
     carriers = [rig_end.complex] + middles + [dr_end.carrier]
     arrows = []
-    for idx, arr in enumerate(data["arrows"]):
-        direction = arr["dir"]
+    for idx, arr in enumerate(_required(data, "arrows")):
+        direction = _required(arr, "dir", f"arrows[{idx}]")
         if direction == "fwd":
             src, tgt = carriers[idx], carriers[idx + 1]
         else:

@@ -6,6 +6,12 @@ is Z_r modulo (the next level's Z_{r-1} plus d of Z_{r-1} from above), and the
 page differential is lift-transfer-project.  Everything is exact arithmetic,
 so E_{r+1} is recomputed from the formulas and checked against the homology
 of (E_r, d_r) rather than assumed.
+
+Z(n, p, r) = F^p C^n ∩ d^{-1}(F^{p+r} C^{n+1}) is computed once per page run
+for each (n, clamped p, clamped p + r): F^p is the whole space for p at or
+below the lowest level and zero above the highest, so every p and p + r
+outside that window reads the same space as its clamped value.  Each page's
+Z(n, p+1, r-1) and Z(n-1, p-r+1, r-1) are then the previous page's Z spaces.
 """
 
 from __future__ import annotations
@@ -58,11 +64,6 @@ def _preimage(d: Matrix, target: Subspace) -> Subspace:
     return Subspace(d.cols, comp.kernel_basis())
 
 
-def _z_space(f: FilteredComplex, n: int, p: int, r: int) -> Subspace:
-    d = f.carrier.diff(n)
-    return f.level(n, p).intersect(_preimage(d, f.level(n + 1, p + r)))
-
-
 def _pages_generic(f: FilteredComplex, r_max: Optional[int] = None) -> List[SpectralPage]:
     total = f.carrier
     degrees = sorted(total.dims) if total.dims else []
@@ -71,6 +72,15 @@ def _pages_generic(f: FilteredComplex, r_max: Optional[int] = None) -> List[Spec
     width = (p_hi - p_lo) + 1
     if r_max is None:
         r_max = width + 1
+    z_spaces: Dict[Tuple[int, int, int], Subspace] = {}
+
+    def z_space(n: int, p: int, r: int) -> Subspace:
+        key = (n, max(p, p_lo), min(p + r, p_hi + 1))
+        if key not in z_spaces:
+            n, p, top = key
+            z_spaces[key] = f.level(n, p).intersect(_preimage(total.diff(n), f.level(n + 1, top)))
+        return z_spaces[key]
+
     pages: List[SpectralPage] = []
     for r in range(1, r_max + 1):
         entries: Dict[Tuple[int, int], PageEntry] = {}
@@ -79,9 +89,9 @@ def _pages_generic(f: FilteredComplex, r_max: Optional[int] = None) -> List[Spec
         for n in degrees:
             for p in range(p_lo, p_hi + 1):
                 q = n - p
-                z = _z_space(f, n, p, r)
-                inner_z = _z_space(f, n, p + 1, r - 1)
-                prev = _z_space(f, n - 1, p - r + 1, r - 1)
+                z = z_space(n, p, r)
+                inner_z = z_space(n, p + 1, r - 1)
+                prev = z_space(n - 1, p - r + 1, r - 1)
                 boundary = inner_z.sum(Subspace(total.dim(n), total.diff(n - 1) * prev.basis))
                 denom = z.intersect(boundary)
                 proj, sect, lift = z.quotient_by(denom)

@@ -318,3 +318,90 @@ def test_subcomplex_inclusion_and_rejection():
             assert cycles.dim(n) == x.dim(n) - x.diff(n).rank
             with pytest.raises(ValidationError):
                 subcomplex(x, {n: Subspace.full(x.dim(n))})
+
+
+class EagerCohomology:
+    """The eager H^n that the rank-first Cohomology replaced: kernel basis,
+    coboundary coordinates and quotient in the constructor, and the dimension
+    read off the quotient."""
+
+    def __init__(self, c, n):
+        z = Subspace(c.dim(n), c.diff(n).kernel_basis())
+        b_in_z = z.coords_matrix(c.diff(n - 1))
+        if b_in_z is None:
+            raise ValidationError("image of d is not contained in the kernel")
+        proj, sect = Subspace(z.dim, b_in_z).quotient()
+        self.dim = proj.rows
+        self.representatives = z.basis * sect
+        self.cocycles = z
+        self.class_proj = proj
+
+    def project(self, vec):
+        coords = self.cocycles.coords_of(vec)
+        if coords is None:
+            raise ValidationError("vector is not a cocycle")
+        return self.class_proj.apply(coords)
+
+    def class_matrix(self, vectors):
+        coords = self.cocycles.coords_matrix(vectors)
+        if coords is None:
+            raise ValidationError("some column is not a cocycle")
+        return self.class_proj * coords
+
+
+def test_rank_first_cohomology_matches_eager_build():
+    rng = random.Random(911)
+    complexes = []
+    for i in range(220):
+        a = rand_complex(rng, lo=-1, hi=2, max_dim=4)
+        complexes.append(a)
+        if i % 4 == 0:
+            # unchecked complexes: a cone and a shift
+            b = rand_complex(rng, lo=-1, hi=2, max_dim=3)
+            complexes += [cone(rand_chain_map(rng, a, b))[0], shift(a, 1)]
+    for c in complexes:
+        fresh = Complex(c.dims, c.d, check=c.checked)
+        for n in range(c.lo - 1, c.hi + 2):
+            ref = EagerCohomology(c, n)
+            h = fresh.cohomology(n)
+            # dim first, before anything is built, then the built parts
+            assert h.dim == ref.dim
+            assert h.representatives == ref.representatives
+            assert h.cocycles.basis == ref.cocycles.basis
+            # random cocycles, each plus a random coboundary
+            z = ref.cocycles
+            coeffs = Matrix(z.dim, 3, [[F(rng.randint(-3, 3)) for _ in range(3)] for _ in range(z.dim)])
+            shifts = Matrix(c.dim(n - 1), 3, [[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(c.dim(n - 1))])
+            vecs = z.basis * coeffs + c.diff(n - 1) * shifts
+            assert h.class_matrix(vecs) == ref.class_matrix(vecs)
+            for j in range(vecs.cols):
+                assert h.project(vecs.col_tuple(j)) == ref.project(vecs.col_tuple(j))
+            # the representatives first, on a second fresh complex
+            other = Complex(c.dims, c.d, check=c.checked).cohomology(n)
+            assert other.representatives == ref.representatives and other.dim == ref.dim
+
+
+def test_cohomology_of_a_non_chain_map_cone_still_raises():
+    a = Complex.single(0)
+    b = Complex({0: 1, 1: 1}, {0: Matrix.identity(1)})
+    with pytest.raises(ValidationError):
+        ChainMap(a, b, {0: Matrix.identity(1)})
+    f = ChainMap(a, b, {0: Matrix.identity(1)}, check=False)
+    c = cone(f)[0]
+    assert not c.checked
+    with pytest.raises(ValidationError, match="image of d is not contained in the kernel"):
+        c.cohomology(0).dim
+    with pytest.raises(ValidationError, match="image of d is not contained in the kernel"):
+        c.cohomology_dims()
+    # degrees away from the broken square still answer
+    assert c.cohomology(1).dim == 0
+
+
+def test_project_rejects_a_non_cocycle():
+    c = Complex({0: 2, 1: 1}, {0: Matrix.from_rows([[1, 0]])})
+    h = c.cohomology(0)
+    assert h.dim == 1 and h.project((F(0), F(5))) == (F(5),)
+    with pytest.raises(ValidationError, match="not a cocycle"):
+        h.project((F(1), F(0)))
+    with pytest.raises(ValidationError, match="not a cocycle"):
+        h.class_matrix(Matrix.from_rows([[1], [0]]))

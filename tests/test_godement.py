@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -100,6 +101,40 @@ def test_site_order_matches_pairwise_closure():
             continue
         site = FiniteSite(elements, relations, [])
         assert (site.leq, site.hasse) == expected, (elements, relations)
+
+
+def _recursive_height(site):
+    """The height by the recursion it had before: one call per chain element."""
+    memo = {}
+
+    def depth(x):
+        if x not in memo:
+            memo[x] = 1 + max((depth(y) for y in site.elements if y != x and site.le(x, y)), default=0)
+        return memo[x]
+
+    return max(depth(x) for x in site.elements) - 1 if site.elements else 0
+
+
+def test_height_matches_the_recursive_depth():
+    sites = [pio.load_object(pio.corpus_path(name)) for name in
+             ("sierpinski.site", "sierpinski_nopoints.site", "pseudocircle.site", "sphere.site")]
+    rng = random.Random(432)
+    for _ in range(60):
+        names = [f"x{i}" for i in range(rng.randint(0, 12))]
+        rng.shuffle(names)
+        relations = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < 0.3]
+        sites.append(FiniteSite(names, relations, []))
+    heights = [site.height for site in sites]
+    assert heights == [_recursive_height(site) for site in sites]
+    assert heights[:4] == [1, 1, 1, 2] and max(heights) >= 4
+
+
+def test_height_of_a_long_chain_needs_no_recursion():
+    names = [f"e{i:04d}" for i in range(1200)]
+    site = FiniteSite(names, list(zip(names, names[1:])), names)
+    start = time.perf_counter()
+    assert site.height == 1199
+    assert time.perf_counter() - start < 5.0
 
 
 def test_one_point_and_discrete_adjunction():

@@ -1,12 +1,17 @@
 """Source hygiene: every name a module of the package or a test module
 imports is used in it, every module-level private function or class is used
-somewhere, and every import sits at module level."""
+somewhere, every import sits at module level, and every span target of the
+benchmark's layer trace still names a callable of the package."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "phodge"
+LAYERTRACE = TESTS.parent / "perfbench" / "layertrace.py"
 
 
 def _annotation_names(node: ast.AST):
@@ -174,3 +179,36 @@ def test_orphan_checker_sees_self_references_and_other_modules():
 def test_no_orphaned_private_definitions_in_src():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert not orphaned_private_definitions(sources)
+
+
+def _load_layertrace():
+    """perfbench/layertrace.py as a module, loaded without writing bytecode
+    next to it."""
+    spec = importlib.util.spec_from_file_location("layertrace_under_test", LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    before, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = before
+    return module
+
+
+def test_layertrace_targets_resolve_to_callables():
+    """install() wraps cls.__dict__[attr] for a method and getattr(module,
+    attr) for a function; a target that no longer resolves would drop its
+    per-layer span."""
+    targets = _load_layertrace().TARGETS
+    assert targets
+    broken = []
+    for group, entries in targets.items():
+        for modname, clsname, attr in entries:
+            module = importlib.import_module(modname)
+            if clsname:
+                owner = getattr(module, clsname, None)
+                found = vars(owner).get(attr) if isinstance(owner, type) else None
+            else:
+                found = getattr(module, attr, None)
+            if not callable(found):
+                broken.append((group, modname, clsname, attr))
+    assert not broken, broken

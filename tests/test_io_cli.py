@@ -293,3 +293,103 @@ def test_cli_rejects_p_beyond_the_primality_cap(tmp_path, capsys, p):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(PRIME_CAP) in captured.err and "Traceback" not in captured.err
+
+
+def _at(data, path):
+    for part in path.split(".") if path else ():
+        data = data[int(part)] if isinstance(data, list) else data[part]
+    return data
+
+
+def _drop(path):
+    def edit(data):
+        parent, _, key = path.rpartition(".")
+        del _at(data, parent)[key]
+
+    return edit
+
+
+def _rename(path, old, new):
+    def edit(data):
+        holder = _at(data, path)
+        holder[new] = holder.pop(old)
+
+    return edit
+
+
+def _sheaf_with_maps(tmp_path):
+    sheaf = {"kind": "sheaf", "values": {"c": 1, "o": 1}, "maps": [{"from": "c", "to": "o", "matrix": [["1"]]}]}
+    path = tmp_path / "maps.sheaf"
+    path.write_text(json.dumps(sheaf))
+    return path
+
+
+REQUIRED_KEYS = [
+    ("tate0.phc", key) for key in ("frame", "frame.p", "rig", "rig.complex", "dr", "dr.complex", "k", "c", "s")
+] + [
+    ("point.datum", key)
+    for key in (
+        "name", "d", "frame", "rgamma", "rgamma_c", "pairing", "trace", "trace.rig", "trace.k", "trace.dr",
+        "flags", "flags.c_quasi_iso", "flags.s_quasi_iso", "flags.phi_invertible",
+    )
+] + [
+    ("p1_to_point.map", key) for key in ("name", "source", "target", "pullback")
+] + [
+    ("nine_node.zigzag", key) for key in ("frame", "rig_end", "dr_end", "arrows", "arrows.0.dir")
+] + [
+    ("strict.filtered", "complex"),
+    ("sierpinski.site", "elements"),
+]
+
+
+@pytest.mark.parametrize("name, key", REQUIRED_KEYS)
+def test_cli_names_a_missing_required_key(tmp_path, capsys, name, key):
+    path = _edited_corpus_file(tmp_path, name, _drop(key))
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "missing required key" in captured.err and f"{key.rpartition('.')[2]}'" in captured.err
+
+
+@pytest.mark.parametrize("key", ["from", "to", "matrix"])
+def test_cli_names_a_missing_sheaf_map_key(tmp_path, capsys, key):
+    path = _sheaf_with_maps(tmp_path)
+    assert main(["validate", "--site", "sierpinski.site", str(path)]) == 0
+    data = json.loads(path.read_text())
+    del data["maps"][0][key]
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--site", "sierpinski.site", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"'maps[].{key}'" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_names_a_missing_extension_modulus(tmp_path, capsys):
+    def edit(data):
+        data["frame"] = {"p": 5, "extension": {}}
+
+    path = _edited_corpus_file(tmp_path, "tate0.phc", edit)
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert "'frame.extension.modulus'" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "name, path, old, new",
+    [
+        ("point.datum", "pairing.rig", "0", "x"),
+        ("tate0.phc", "k.dims", "0", "x"),
+        ("tate0.phc", "rig.phi", "0", "0.0"),
+        ("tate0.phc", "c.components", "0", " 0"),
+        ("tate0.phc", "dr.filtration", "0", "zero"),
+        ("strict.filtered", "filtration.0", "1", "one"),
+        ("d2page.dcomplex", "spaces", "2,0", "2"),
+        ("d2page.dcomplex", "d_h", "0,1", "0,x"),
+        ("d2page.dcomplex", "d_v", "1,0", "1,0,0"),
+    ],
+)
+def test_cli_names_a_non_integer_degree_key(tmp_path, capsys, name, path, old, new):
+    edited = _edited_corpus_file(tmp_path, name, _rename(path, old, new))
+    assert main(["validate", edited]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"key {new!r} is not" in captured.err

@@ -5,9 +5,12 @@ import pytest
 from phodge.complexes import Complex
 from phodge.errors import ValidationError
 from phodge.filtered import is_strict_complex, graded
-from phodge.linalg import Matrix
+from phodge.linalg import Matrix, Subspace
 from phodge.spectral import (
     DoubleComplex,
+    PageEntry,
+    SpectralPage,
+    column_filtered,
     convergence_check,
     degenerates_at_e1,
     filtration_pages,
@@ -105,3 +108,58 @@ def test_simplicial_collapse_random():
         c = rand_complex(rng, lo=0, hi=2, max_dim=2)
         for n in (0, 2, 4):
             assert simplicial_collapse(c, n).passed
+
+
+def _reference_preimage(d, target):
+    proj, _ = target.quotient()
+    return Subspace(d.cols, (proj * d).kernel_basis())
+
+
+def _reference_z_space(f, n, p, r):
+    return f.level(n, p).intersect(_reference_preimage(f.carrier.diff(n), f.level(n + 1, p + r)))
+
+
+def reference_pages(f):
+    """The page run before Z spaces were shared: every Z(n, p, r) is computed
+    afresh where it is used, and no E_{r+1} = H(E_r, d_r) check is made."""
+    total = f.carrier
+    levels = f.filtration.all_levels()
+    p_lo, p_hi = (levels[0], levels[-1]) if levels else (0, 0)
+    out = []
+    for r in range(1, p_hi - p_lo + 3):
+        entries, diffs, quotients = {}, {}, {}
+        for n in sorted(total.dims):
+            for p in range(p_lo, p_hi + 1):
+                z = _reference_z_space(f, n, p, r)
+                inner_z = _reference_z_space(f, n, p + 1, r - 1)
+                prev = _reference_z_space(f, n - 1, p - r + 1, r - 1)
+                boundary = inner_z.sum(Subspace(total.dim(n), total.diff(n - 1) * prev.basis))
+                proj, sect, lift = z.quotient_by(z.intersect(boundary))
+                if proj.rows:
+                    entries[(p, n - p)] = PageEntry(dim=proj.rows, representatives=lift)
+                    quotients[(p, n - p)] = (z, proj, lift)
+        for (p, q), (z, proj, lift) in quotients.items():
+            tgt = quotients.get((p + r, q - r + 1))
+            if tgt is None:
+                diffs[(p, q)] = Matrix.zeros(0, entries[(p, q)].dim)
+                continue
+            zt, projt, _ = tgt
+            diffs[(p, q)] = projt * zt.coords_matrix(total.diff(p + q) * lift)
+        out.append(SpectralPage(r=r, entries=entries, differentials=diffs))
+    return out
+
+
+def test_shared_z_spaces_match_the_unshared_page_run(corpus):
+    rng = random.Random(84)
+    filtered = [column_filtered(corpus("d2page.dcomplex"), "col")]
+    for i in range(30):
+        dc = rand_double_complex(rng, p_count=2 + i % 3, q_lo=0, q_hi=2, max_dim=2 + i % 2)
+        filtered += [column_filtered(dc, "col"), column_filtered(dc, "row")]
+    filtered += [rand_filtered_complex(rng, depth=1 + i % 3) for i in range(15)]
+    late = 0
+    for fc in filtered:
+        got, want = filtration_pages(fc), reference_pages(fc)
+        assert got == want
+        late += any(not m.is_zero() for page in got[1:] for m in page.differentials.values())
+    # some runs have a nonzero d_r with r >= 2, and not only the corpus one
+    assert late >= 5

@@ -391,15 +391,15 @@ class BarResolution:
                     m = t_map(m)
                 self.cofaces[(n, i)] = m
         self.augmentation = unit_map(f)
+        # d^n = sum_i (-1)^i delta_i, summed at each element over the nonzero entries of the cofaces
         self.differentials: Dict[int, SheafMap] = {}
         for n in range(length):
-            d = None
-            for i in range(n + 2):
-                term = self.cofaces[(n + 1, i)]
-                if i % 2 == 1:
-                    term = -term
-                d = term if d is None else d.add(term)
-            self.differentials[n] = d
+            cofaces = [self.cofaces[(n + 1, i)] for i in range(n + 2)]
+            comps = {}
+            for x in site.elements:
+                terms = [(0, 0, -g.component(x) if i % 2 else g.component(x)) for i, g in enumerate(cofaces)]
+                comps[x] = assemble(towers[n + 2].dim(x), towers[n + 1].dim(x), terms, add=True)
+            self.differentials[n] = SheafMap(towers[n + 1], towers[n + 2], comps, check=False)
 
     def level(self, n: int) -> Sheaf:
         return self.levels[n]

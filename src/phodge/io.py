@@ -4,8 +4,8 @@ Everything is JSON with a "kind" discriminator.  Matrices are arrays of rows
 of exact scalar strings ("num/den"); extension scalars are coefficient arrays
 in the power basis.  Every loaded object passes through the constructors, so
 all structural invariants are revalidated on load and failures name the
-violated invariant: a missing required key or a degree key that is not an
-integer exits with code 2 and names the key.
+violated invariant: a missing required key, a value of the wrong JSON type or
+a degree key that is not an integer exits with code 2 and names the key.
 """
 
 from __future__ import annotations
@@ -29,15 +29,22 @@ from .phc import PHodgeComplex, PHodgeMap, Zigzag
 _INTEGER_STRING = re.compile(r"[+-]?[0-9]+")
 
 
-def _required(data, key: str, where: str = ""):
-    """data[key] for a key the format requires; a missing key, or data that is
-    not a JSON object, fails naming the key."""
+def _required(data, key: str, where: str = "", kind: Optional[type] = None):
+    """data[key] for a key the format requires; a missing key, data that is
+    not a JSON object, or a value not of the JSON type kind fails naming it."""
     name = f"{where}.{key}" if where else key
     if not isinstance(data, dict):
         raise ValidationError(f"{where or 'the file'} must be a JSON object holding {name!r}")
     if key not in data:
         raise ValidationError(f"missing required key {name!r}")
+    if kind is not None and not isinstance(data[key], kind):
+        raise ValidationError(f"{name!r} must be a JSON {'object' if kind is dict else 'array'}, not {type(data[key]).__name__}")
     return data[key]
+
+
+def _optional(data, key: str, default, where: str = ""):
+    """data[key], or default ({} or []) if absent; a value of another JSON type fails naming the key."""
+    return default if isinstance(data, dict) and key not in data else _required(data, key, where, type(default))
 
 
 def _degree(key: str, where: str, parts: int = 1):
@@ -54,6 +61,8 @@ def _degree(key: str, where: str, parts: int = 1):
 def parse_matrix(frame: Optional[CoefficientFrame], data, rows: int, cols: int, where: str = "matrix") -> Matrix:
     if data is None:
         return Matrix.zeros(rows, cols)
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise ValidationError(f"{where}: a matrix must be a JSON array of rows")
     if len(data) != rows or any(len(r) != cols for r in data):
         raise ValidationError(f"matrix data has shape {len(data)}x?, expected {rows}x{cols}")
     if frame is None:
@@ -74,9 +83,9 @@ def parse_frame(data) -> CoefficientFrame:
     ext = data.get("extension")
     if ext is None:
         return CoefficientFrame(p=int(p))
-    modulus = _required(ext, "modulus", "frame.extension")
+    modulus = _required(ext, "modulus", "frame.extension", list)
     nf = NumberField([parse_rational(c, f"extension modulus[{i}]") for i, c in enumerate(modulus)])
-    sigma = ext.get("sigma")
+    sigma = _optional(ext, "sigma", [], "frame.extension")
     return CoefficientFrame(
         p=int(p),
         extension=nf,
@@ -94,9 +103,9 @@ def format_frame(frame: CoefficientFrame):
 
 
 def parse_complex(frame, data) -> Complex:
-    dims = {_degree(k, "dims"): parse_dim(v, f"dims[{k}]") for k, v in data.get("dims", {}).items()}
+    dims = {_degree(k, "dims"): parse_dim(v, f"dims[{k}]") for k, v in _optional(data, "dims", {}).items()}
     d = {}
-    for k, mat in data.get("d", {}).items():
+    for k, mat in _optional(data, "d", {}).items():
         n = _degree(k, "d")
         d[n] = parse_matrix(frame, mat, dims.get(n + 1, 0), dims.get(n, 0), f"d[{k}]")
     return Complex(dims, d)
@@ -113,7 +122,7 @@ def format_complex(frame, c: Complex):
 
 def parse_chain_map(frame, data, source: Complex, target: Complex) -> ChainMap:
     comps = {}
-    for k, mat in data.get("components", {}).items():
+    for k, mat in _optional(data, "components", {}).items():
         n = _degree(k, "components")
         comps[n] = parse_matrix(frame, mat, target.dim(n), source.dim(n), f"components[{k}]")
     return ChainMap(source, target, comps)
@@ -126,7 +135,7 @@ def format_chain_map(frame, f: ChainMap):
 def parse_filtered(frame, data) -> FilteredComplex:
     carrier = parse_complex(frame, _required(data, "complex"))
     records = {}
-    for deg, levels in data.get("filtration", {}).items():
+    for deg, levels in _optional(data, "filtration", {}).items():
         n = _degree(deg, "filtration")
         entry = []
         for level, basis in levels.items():
@@ -150,7 +159,7 @@ def format_filtered(frame, fc: FilteredComplex):
 def parse_frobenius(frame, data) -> FrobeniusComplex:
     c = parse_complex(frame, _required(data, "complex"))
     phi = {}
-    for k, mat in data.get("phi", {}).items():
+    for k, mat in _optional(data, "phi", {}).items():
         n = _degree(k, "phi")
         phi[n] = parse_matrix(frame, mat, c.dim(n), c.dim(n))
     return FrobeniusComplex(frame, c, phi)
@@ -187,13 +196,14 @@ def format_phc(m: PHodgeComplex, *, with_frame: bool = True):
     return out
 
 
-def _parse_pairing(frame, data, a: Complex, b: Complex, where: str) -> Dict[int, Matrix]:
-    """Degreewise matrices (a (x) b)^n -> b^n; dim (a (x) b)^n is the sum of
-    a^i b^(n-i), so no tensor complex is built."""
+def _parse_pairing(frame, pairing, slot: str, a: Complex, b: Complex) -> Dict[int, Matrix]:
+    """Degreewise matrices (a (x) b)^n -> b^n of pairing[slot]; dim (a (x) b)^n
+    is the sum of a^i b^(n-i), so no tensor complex is built."""
     out = {}
-    for k, mat in data.items():
+    where = f"pairing.{slot}"
+    for k, mat in _optional(pairing, slot, {}, "pairing").items():
         n = _degree(k, where)
-        out[n] = parse_matrix(frame, mat, b.dim(n), sum(dim * b.dim(n - i) for i, dim in a.dims.items()))
+        out[n] = parse_matrix(frame, mat, b.dim(n), sum(dim * b.dim(n - i) for i, dim in a.dims.items()), f"{where}[{k}]")
     return out
 
 
@@ -202,11 +212,11 @@ def parse_datum(data) -> GeometricDatum:
     rgamma = parse_phc(_required(data, "rgamma"), frame)
     rgamma_c = parse_phc(_required(data, "rgamma_c"), frame)
     d = parse_dim(_required(data, "d"), "d")
-    pairing = _required(data, "pairing")
+    pairing = _required(data, "pairing", kind=dict)
     pairing = PairingData(
-        rig=_parse_pairing(frame, pairing.get("rig", {}), rgamma.rig.complex, rgamma_c.rig.complex, "pairing.rig"),
-        k=_parse_pairing(frame, pairing.get("k", {}), rgamma.k, rgamma_c.k, "pairing.k"),
-        dr=_parse_pairing(frame, pairing.get("dr", {}), rgamma.dr.carrier, rgamma_c.dr.carrier, "pairing.dr"),
+        rig=_parse_pairing(frame, pairing, "rig", rgamma.rig.complex, rgamma_c.rig.complex),
+        k=_parse_pairing(frame, pairing, "k", rgamma.k, rgamma_c.k),
+        dr=_parse_pairing(frame, pairing, "dr", rgamma.dr.carrier, rgamma_c.dr.carrier),
     )
     top = 2 * d
     trace = _required(data, "trace")
@@ -256,16 +266,19 @@ def parse_proper_map(data) -> ProperMapDatum:
     target = parse_datum(_required(data, "target"))
     frame = source.frame
     nc_y, nc_x = target.rgamma_c, source.rgamma_c
-    pb = _required(data, "pullback")
-    f_rig = parse_chain_map(frame, {"components": pb.get("rig", {})}, nc_y.rig.complex, nc_x.rig.complex)
-    f_k = parse_chain_map(frame, {"components": pb.get("k", {})}, nc_y.k, nc_x.k)
-    f_dr = parse_chain_map(frame, {"components": pb.get("dr", {})}, nc_y.dr.carrier, nc_x.dr.carrier)
+    pb = _required(data, "pullback", kind=dict)
+    f_rig = parse_chain_map(frame, {"components": _optional(pb, "rig", {}, "pullback")}, nc_y.rig.complex, nc_x.rig.complex)
+    f_k = parse_chain_map(frame, {"components": _optional(pb, "k", {}, "pullback")}, nc_y.k, nc_x.k)
+    f_dr = parse_chain_map(frame, {"components": _optional(pb, "dr", {}, "pullback")}, nc_y.dr.carrier, nc_x.dr.carrier)
     pullback = PHodgeMap(nc_y, nc_x, f_rig, f_k, f_dr)
     return ProperMapDatum(_required(data, "name"), source, target, pullback)
 
 
 def parse_site(data) -> FiniteSite:
-    return FiniteSite(_required(data, "elements"), [tuple(r) for r in data.get("leq", [])], data.get("points", []))
+    leq = _optional(data, "leq", [])
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in leq):
+        raise ValidationError("'leq' must be an array of pairs [a, b]")
+    return FiniteSite(_required(data, "elements", kind=list), [tuple(r) for r in leq], _optional(data, "points", []))
 
 
 def format_site(site: FiniteSite):
@@ -282,9 +295,9 @@ def parse_sheaf(data, site: FiniteSite) -> Sheaf:
         return constant_sheaf(site, parse_dim(data["constant"], "constant"))
     if "indicator" in data:
         return indicator_sheaf(site, data["indicator"], parse_dim(data.get("dim", 1), "dim"))
-    values = {k: parse_dim(v, f"values[{k}]") for k, v in data.get("values", {}).items()}
+    values = {k: parse_dim(v, f"values[{k}]") for k, v in _optional(data, "values", {}).items()}
     maps = {}
-    for entry in data.get("maps", []):
+    for entry in _optional(data, "maps", []):
         a, b = _required(entry, "from", "maps[]"), _required(entry, "to", "maps[]")
         mat = _required(entry, "matrix", "maps[]")
         maps[(a, b)] = parse_matrix(None, mat, values.get(b, 0), values.get(a, 0), f"map {a}->{b}")
@@ -301,14 +314,14 @@ def format_sheaf(f: Sheaf):
 
 def parse_double_complex(data) -> DoubleComplex:
     spaces = {}
-    for key, v in data.get("spaces", {}).items():
+    for key, v in _optional(data, "spaces", {}).items():
         spaces[_degree(key, "spaces", 2)] = parse_dim(v, f"spaces[{key}]")
     dh = {}
     dv = {}
-    for key, mat in data.get("d_h", {}).items():
+    for key, mat in _optional(data, "d_h", {}).items():
         p, q = _degree(key, "d_h", 2)
         dh[(p, q)] = parse_matrix(None, mat, spaces.get((p + 1, q), 0), spaces.get((p, q), 0), f"d_h[{key}]")
-    for key, mat in data.get("d_v", {}).items():
+    for key, mat in _optional(data, "d_v", {}).items():
         p, q = _degree(key, "d_v", 2)
         dv[(p, q)] = parse_matrix(None, mat, spaces.get((p, q + 1), 0), spaces.get((p, q), 0), f"d_v[{key}]")
     return DoubleComplex(spaces, dh, dv)
@@ -327,11 +340,13 @@ def parse_zigzag(data) -> Zigzag:
     frame = parse_frame(_required(data, "frame"))
     rig_end = parse_frobenius(frame, _required(data, "rig_end"))
     dr_end = parse_filtered(frame, _required(data, "dr_end"))
-    middles = [parse_complex(frame, c) for c in data.get("middle", [])]
+    middles = [parse_complex(frame, c) for c in _optional(data, "middle", [])]
     nodes = [rig_end] + middles + [dr_end]
     carriers = [rig_end.complex] + middles + [dr_end.carrier]
+    if len(_required(data, "arrows", kind=list)) > len(carriers) - 1:
+        raise ValidationError(f"'arrows' holds {len(data['arrows'])} arrows for {len(carriers) - 1} gaps between nodes")
     arrows = []
-    for idx, arr in enumerate(_required(data, "arrows")):
+    for idx, arr in enumerate(data["arrows"]):
         direction = _required(arr, "dir", f"arrows[{idx}]")
         if direction == "fwd":
             src, tgt = carriers[idx], carriers[idx + 1]

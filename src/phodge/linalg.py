@@ -5,6 +5,14 @@ surface); there is no floating point anywhere.  Pivoting is deterministic
 (first nonzero), and reduced row echelon form over a field is unique, so all
 derived bases are reproducible byte for byte.
 
+Besides its dense ``entries``, a ``Matrix`` has a nonzero view, built on
+first use and cached: ``nonzero_rows()`` lists each row's nonzero entries as
+(col, value) pairs.  Products, sums, negation, scaling, ``kron``,
+``transpose``, ``is_zero``, ``assemble`` and the row set-up of the RREF read
+only that view, so a mostly-zero matrix costs its nonzero count, not rows x
+cols.  A zero test is a truthiness test (``if x``), which Fractions and
+extension scalars both answer.
+
 Two kernels produce the same RREF:
 
 - When every entry is a Fraction, ``Matrix.rref`` clears each row's
@@ -27,7 +35,7 @@ no elimination.
 
 Every block matrix in the package (direct sums, cones, tensor and Hom
 differentials, maps between them) is built by ``assemble``, which writes the
-nonzero entries of each block at its offset into one zero scaffold.
+nonzero entries of each block at its offset, or adds them up.
 """
 
 from __future__ import annotations
@@ -40,20 +48,23 @@ from .errors import ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_FRACTION_ONLY = {Fraction}
 
 
-def _rref_integer(entries, cols: int):
-    """RREF of Fraction rows by elimination on integer rows.
+def _rref_integer(nonzero_rows, cols: int):
+    """RREF of Fraction rows, given by their nonzero (col, value) pairs, by
+    elimination on integer rows.
 
     Each row is scaled to a primitive integer row; Gauss-Jordan then keeps
     every row integral and primitive, and the pivots are divided out at the
-    end.  Returns (rows, pivots) with Fraction entries.
+    end.  Returns the nonzero (col, value) pairs of the RREF rows, with
+    Fraction values, and the pivots.
     """
     work = []
-    for r in entries:
-        den = lcm(*[x.denominator for x in r])
-        row = [x.numerator * (den // x.denominator) for x in r]
+    for r in nonzero_rows:
+        den = lcm(*[x.denominator for _, x in r])
+        row = [0] * cols
+        for j, x in r:
+            row[j] = x.numerator * (den // x.denominator)
         g = gcd(*row)
         work.append([x // g for x in row] if g > 1 else row)
     m = len(work)
@@ -82,13 +93,14 @@ def _rref_integer(entries, cols: int):
     out = []
     for row, c in zip(work, pivots):
         pv = row[c]
-        out.append([Fraction(x, pv) if x else ZERO for x in row])
-    out.extend([ZERO] * cols for _ in range(m - len(pivots)))
+        out.append([(j, Fraction(x, pv)) for j, x in enumerate(row) if x])
+    out.extend([] for _ in range(m - len(pivots)))
     return out, tuple(pivots)
 
 
 def _rref_generic(entries, cols: int):
-    """RREF by Gauss-Jordan in the entries' own arithmetic; any field scalars."""
+    """RREF by Gauss-Jordan in the entries' own arithmetic; any field scalars.
+    Returns the nonzero (col, value) pairs of the RREF rows and the pivots."""
     work = [list(r) for r in entries]
     m = len(work)
     pivots: List[int] = []
@@ -96,7 +108,7 @@ def _rref_generic(entries, cols: int):
     for c in range(cols):
         if r == m:
             break
-        pr = next((i for i in range(r, m) if work[i][c] != 0), None)
+        pr = next((i for i in range(r, m) if work[i][c]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
@@ -104,17 +116,17 @@ def _rref_generic(entries, cols: int):
         prow = work[r] = [x / pv for x in work[r]]
         for i in range(m):
             f = work[i][c]
-            if i != r and f != 0:
+            if i != r and f:
                 work[i] = [a - f * b for a, b in zip(work[i], prow)]
         pivots.append(c)
         r += 1
-    return work, tuple(pivots)
+    return [[(j, x) for j, x in enumerate(row) if x] for row in work], tuple(pivots)
 
 
 def _exact_row(row) -> Tuple:
     """One matrix row as a tuple: ints become Fractions, floats are rejected."""
     row = tuple(row)
-    if set(map(type, row)) <= _FRACTION_ONLY:
+    if set(map(type, row)) <= {Fraction}:
         return row
     if any(isinstance(x, float) for x in row):
         raise ValidationError("floating point entry rejected; arithmetic is exact")
@@ -122,21 +134,45 @@ def _exact_row(row) -> Tuple:
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries."""
+    """Immutable dense matrix with exact entries and a cached nonzero view."""
 
-    __slots__ = ("rows", "cols", "entries", "_rref")
+    __slots__ = ("rows", "cols", "entries", "_rref", "_nz")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(map(_exact_row, entries))
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValidationError(f"matrix shape mismatch: {rows}x{cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_rref", None)
+        self._fill(rows, cols, entries, None)
+
+    def _fill(self, rows: int, cols: int, entries: Tuple, nz) -> None:
+        put = object.__setattr__
+        put(self, "rows", rows)
+        put(self, "cols", cols)
+        put(self, "entries", entries)
+        put(self, "_rref", None)
+        put(self, "_nz", nz)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
+
+    @staticmethod
+    def _from_nonzero(rows: int, cols: int, nz) -> "Matrix":
+        """The matrix whose rows hold the given nonzero (col, value) pairs.
+        The values come from arithmetic on entries of checked matrices, so
+        they are not checked again."""
+        dense = [[ZERO] * cols for _ in range(rows)]
+        for row, pairs in zip(dense, nz):
+            for j, x in pairs:
+                row[j] = x
+        m = object.__new__(Matrix)
+        m._fill(rows, cols, tuple(map(tuple, dense)), nz)
+        return m
+
+    def nonzero_rows(self):
+        """Each row's nonzero entries as (col, value) pairs, built once."""
+        if self._nz is None:
+            object.__setattr__(self, "_nz", [[(j, x) for j, x in enumerate(r) if x] for r in self.entries])
+        return self._nz
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
@@ -155,11 +191,11 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return Matrix._from_nonzero(rows, cols, [[] for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix._from_nonzero(n, n, [[(i, ONE)] for i in range(n)])
 
     @staticmethod
     def diagonal(values) -> "Matrix":
@@ -189,42 +225,33 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("matrix addition shape mismatch")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
+        return assemble(self.rows, self.cols, [(0, 0, self), (0, 0, other)], add=True)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[-a for a in r] for r in self.entries])
+        return Matrix._from_nonzero(self.rows, self.cols, [[(j, -x) for j, x in r] for r in self.nonzero_rows()])
 
     def scale(self, s) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[a * s for a in r] for r in self.entries])
+        (s,) = _exact_row((s,))
+        nz = [[(j, v) for j, x in r if (v := x * s)] for r in self.nonzero_rows()]
+        return Matrix._from_nonzero(self.rows, self.cols, nz)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValidationError(f"matrix product shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        cols = other.cols
-        out = [[ZERO] * cols for _ in range(self.rows)]
-        oent = other.entries
-        for i in range(self.rows):
-            row = self.entries[i]
-            acc = out[i]
-            for k in range(self.cols):
-                x = row[k]
-                if x == 0:
-                    continue
-                orow = oent[k]
-                for j in range(cols):
-                    y = orow[j]
-                    if y != 0:
-                        acc[j] = acc[j] + x * y
-        return Matrix(self.rows, cols, out)
+        onz = other.nonzero_rows()
+        out = []
+        for row in self.nonzero_rows():
+            acc = {}
+            for k, x in row:
+                for j, y in onz[k]:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+            out.append([(j, v) for j, v in acc.items() if v])
+        return Matrix._from_nonzero(self.rows, other.cols, out)
 
     def apply(self, vec: Sequence) -> Tuple:
         vec = list(vec)
@@ -233,22 +260,25 @@ class Matrix:
         return tuple(sum((r[k] * vec[k] for k in range(self.cols)), ZERO) for r in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [self.col_tuple(j) for j in range(self.cols)])
+        columns = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzero_rows()):
+            for j, x in row:
+                columns[j].append((i, x))
+        return Matrix._from_nonzero(self.cols, self.rows, columns)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
+        return not any(self.nonzero_rows())
 
     def rref(self):
         """Reduced row echelon form with the pivot column list."""
-        if self._rref is not None:
-            return self._rref
-        if all(set(map(type, r)) <= _FRACTION_ONLY for r in self.entries):
-            work, pivots = _rref_integer(self.entries, self.cols)
-        else:
-            work, pivots = _rref_generic(self.entries, self.cols)
-        result = (Matrix(self.rows, self.cols, work), pivots)
-        object.__setattr__(self, "_rref", result)
-        return result
+        if self._rref is None:
+            nz = self.nonzero_rows()
+            if all(type(x) is Fraction for r in nz for _, x in r):
+                rows, pivots = _rref_integer(nz, self.cols)
+            else:
+                rows, pivots = _rref_generic(self.entries, self.cols)
+            object.__setattr__(self, "_rref", (Matrix._from_nonzero(self.rows, self.cols, rows), pivots))
+        return self._rref
 
     @property
     def rank(self) -> int:
@@ -257,29 +287,19 @@ class Matrix:
     def kernel_basis(self) -> "Matrix":
         """Columns form a canonical basis of the kernel."""
         red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        cols = []
-        for f in free:
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for k, c in enumerate(pivots):
-                v[c] = -red.entries[k][f]
-            cols.append(v)
-        return Matrix.from_columns(self.cols, cols)
+        free = {f: t for t, f in enumerate(c for c in range(self.cols) if c not in pivots)}
+        out = [[(free[c], ONE)] if c in free else [] for c in range(self.cols)]
+        for c, row in zip(pivots, red.nonzero_rows()):
+            out[c] = [(free[j], -x) for j, x in row if j in free]
+        return Matrix._from_nonzero(self.cols, len(free), out)
 
     def solve(self, vec: Sequence) -> Optional[Tuple]:
         """One exact solution of self * x = vec, or None if vec is not in the image."""
         vec = list(vec)
         if len(vec) != self.rows:
             raise ValidationError("solve: right-hand side length mismatch")
-        aug = Matrix(self.rows, self.cols + 1, [list(r) + [v] for r, v in zip(self.entries, vec)])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [ZERO] * self.cols
-        for k, c in enumerate(pivots):
-            x[c] = red.entries[k][self.cols]
-        return tuple(x)
+        x = self.solve_matrix(Matrix.column(vec))
+        return None if x is None else x.col_tuple(0)
 
     def solve_matrix(self, other: "Matrix") -> Optional["Matrix"]:
         """X with self * X = other, or None; one elimination for all columns."""
@@ -291,12 +311,10 @@ class Matrix:
         red, pivots = aug.rref()
         if any(p >= self.cols for p in pivots):
             return None
-        out = [[ZERO] * other.cols for _ in range(self.cols)]
-        for k, c in enumerate(pivots):
-            row = red.entries[k]
-            for j in range(other.cols):
-                out[c][j] = row[self.cols + j]
-        return Matrix(self.cols, other.cols, out)
+        out = [[] for _ in range(self.cols)]
+        for c, row in zip(pivots, red.nonzero_rows()):
+            out[c] = [(j - self.cols, x) for j, x in row if j >= self.cols]
+        return Matrix._from_nonzero(self.cols, other.cols, out)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -334,22 +352,15 @@ class Matrix:
                 roots.append(Fraction(0))
                 coeffs = _poly_deflate(coeffs, ZERO)
                 continue
-            den = 1
-            for c in coeffs:
-                den = den * c.denominator // gcd(den, c.denominator)
+            den = lcm(*[c.denominator for c in coeffs])
             ints = [int(c * den) for c in coeffs]
-            found = None
-            for pnum in _divisors(abs(ints[0])):
-                for pden in _divisors(abs(ints[-1])):
-                    for sign in (1, -1):
-                        cand = Fraction(sign * pnum, pden)
-                        if _poly_eval(coeffs, cand) == 0:
-                            found = cand
-                            break
-                    if found is not None:
-                        break
-                if found is not None:
-                    break
+            candidates = (
+                Fraction(sign * pnum, pden)
+                for pnum in _divisors(abs(ints[0]))
+                for pden in _divisors(abs(ints[-1]))
+                for sign in (1, -1)
+            )
+            found = next((c for c in candidates if not _poly_eval(coeffs, c)), None)
             if found is None:
                 break
             roots.append(found)
@@ -407,39 +418,35 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(sum(m.rows for m in mats), cols, [list(r) for m in mats for r in m.entries])
 
 
-def assemble(rows: int, cols: int, blocks: Iterable[Tuple[int, int, Matrix]]) -> Matrix:
+def assemble(rows: int, cols: int, blocks: Iterable[Tuple[int, int, Matrix]], *, add: bool = False) -> Matrix:
     """The rows x cols matrix with each (r0, c0, block) placed at its offset.
 
-    The nonzero entries of every block are written into one zero scaffold, so
-    empty blocks and zero entries cost nothing; where blocks overlap, a later
-    block's nonzero entries win.  A block that does not fit is rejected.
+    The nonzero entries of every block are written into one scaffold of
+    nonzero rows, so empty blocks and zero entries cost nothing; where blocks
+    overlap, a later block's nonzero entries win, or with ``add=True`` add up.
+    A block that does not fit is rejected.
     """
-    out = [[ZERO] * cols for _ in range(rows)]
+    out = [{} for _ in range(rows)]
     for r0, c0, m in blocks:
         if r0 < 0 or c0 < 0 or r0 + m.rows > rows or c0 + m.cols > cols:
             raise ValidationError(f"{m.rows}x{m.cols} block at ({r0}, {c0}) does not fit in {rows}x{cols}")
-        for i, row in enumerate(m.entries, r0):
-            target = out[i]
-            for j, x in enumerate(row, c0):
-                if x != 0:
-                    target[j] = x
-    return Matrix(rows, cols, out)
+        for target, row in zip(out[r0:], m.nonzero_rows()):
+            for j, x in row:
+                j += c0
+                target[j] = target[j] + x if add and j in target else x
+    nz = [[(j, v) for j, v in r.items() if v] for r in out] if add else [list(r.items()) for r in out]
+    return Matrix._from_nonzero(rows, cols, nz)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; consistent with row-major flattening of maps."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [[ZERO] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.entries[i][j]
-            if x == 0:
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    out[i * b.rows + k][j * b.cols + l] = x * b.entries[k][l]
-    return Matrix(rows, cols, out)
+    w = b.cols
+    nz = [
+        [(j * w + l, v) for j, x in arow for l, y in brow if (v := x * y)]
+        for arow in a.nonzero_rows()
+        for brow in b.nonzero_rows()
+    ]
+    return Matrix._from_nonzero(a.rows * b.rows, a.cols * w, nz)
 
 
 class Subspace:
@@ -458,17 +465,15 @@ class Subspace:
             raise ValidationError("subspace basis has wrong ambient dimension")
         if canonical:
             found = {}
-            for i, row in enumerate(basis.entries):
-                support = [k for k, x in enumerate(row) if x != 0]
-                if len(support) == 1 and row[support[0]] == 1:
-                    found.setdefault(support[0], i)
+            for i, row in enumerate(basis.nonzero_rows()):
+                if len(row) == 1 and row[0][1] == 1:
+                    found.setdefault(row[0][0], i)
             pivots = tuple(found.get(k) for k in range(basis.cols))
             if None in pivots:
                 raise ValidationError("canonical subspace basis has a column without a unit row")
         else:
             red, pivots = basis.transpose().rref()
-            rows = [red.entries[k] for k in range(len(pivots))]
-            basis = Matrix(len(pivots), ambient_dim, rows).transpose()
+            basis = Matrix._from_nonzero(len(pivots), ambient_dim, red.nonzero_rows()[: len(pivots)]).transpose()
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_pivot_rows", pivots)
@@ -557,17 +562,11 @@ class Subspace:
         n = self.ambient_dim
         pivots = self._pivot_rows
         pivot_set = set(pivots)
-        complement = [i for i in range(n) if i not in pivot_set]
-        proj = []
-        for c in complement:
-            row = [ZERO] * n
-            row[c] = ONE
-            for p, b in zip(pivots, self.basis.entries[c]):
-                if b != 0:
-                    row[p] = -b
-            proj.append(row)
-        sect = [[ONE if i == c else ZERO for c in complement] for i in range(n)]
-        return Matrix(len(complement), n, proj), Matrix(n, len(complement), sect)
+        complement = {c: t for t, c in enumerate(i for i in range(n) if i not in pivot_set)}
+        basis = self.basis.nonzero_rows()
+        proj = [[(c, ONE)] + [(pivots[k], -b) for k, b in basis[c]] for c in complement]
+        sect = [[(complement[i], ONE)] if i in complement else [] for i in range(n)]
+        return Matrix._from_nonzero(len(complement), n, proj), Matrix._from_nonzero(n, len(complement), sect)
 
     def quotient_by(self, sub: "Subspace") -> Tuple[Matrix, Matrix, Matrix]:
         """Quotient self / sub for sub <= self.

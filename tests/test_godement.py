@@ -165,6 +165,33 @@ def test_cosimplicial_identities(sierpinski, circle):
         assert bar.cosimplicial_identities_hold()
 
 
+def _alternating_sum_reference(bar, n):
+    """The differential d^n as built before: the alternating sum of the
+    cofaces, one SheafMap.add at a time."""
+    d = None
+    for i in range(n + 2):
+        term = bar.cofaces[(n + 1, i)]
+        if i % 2 == 1:
+            term = -term
+        d = term if d is None else d.add(term)
+    return d
+
+
+@pytest.mark.parametrize("site_name", ["sphere.site", "pseudocircle.site", "sierpinski.site"])
+def test_bar_differentials_match_alternating_sum(corpus, site_name):
+    site = corpus(site_name)
+    sheaf = corpus("constK.sheaf", site=site)
+    for length in (site.height + 1, site.height + 2):
+        bar = BarResolution(sheaf, length)
+        assert sorted(bar.differentials) == list(range(length))
+        for n, d in bar.differentials.items():
+            ref = _alternating_sum_reference(bar, n)
+            assert (d.source, d.target) == (ref.source, ref.target)
+            for x in site.elements:
+                assert d.component(x) == ref.component(x), (n, x)
+        assert bar.cosimplicial_identities_hold()
+
+
 def test_bar_quasi_iso_with_enough_points(sierpinski, circle):
     for site in (sierpinski, circle):
         for sheaf in (constant_sheaf(site), indicator_sheaf(site, site.elements[0])):

@@ -393,3 +393,42 @@ def test_cli_names_a_non_integer_degree_key(tmp_path, capsys, name, path, old, n
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert f"key {new!r} is not" in captured.err
+
+
+def _set(path, value):
+    def edit(data):
+        parent, _, key = path.rpartition(".")
+        _at(data, parent)[key] = value
+
+    return edit
+
+
+def _append(path, pick):
+    def edit(data):
+        items = _at(data, path)
+        items.append(pick(items))
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, command, edit, named",
+    [
+        ("point.datum", "validate", _set("pairing", 5), "'pairing' must be a JSON object"),
+        ("point.datum", "validate", _set("pairing.rig", [5]), "'pairing.rig' must be a JSON object"),
+        ("tate0.phc", "validate", _set("k.dims", [1]), "'dims' must be a JSON object"),
+        ("tate0.phc", "validate", _set("rig.phi", "0"), "'phi' must be a JSON object"),
+        ("d2page.dcomplex", "ss", _set("d_h.0,1", 5), "d_h[0,1]: a matrix must be a JSON array of rows"),
+        ("d2page.dcomplex", "ss", _set("d_h.0,1", [5]), "d_h[0,1]: a matrix must be a JSON array of rows"),
+        ("sierpinski.site", "validate", _set("elements", 5), "'elements' must be a JSON array"),
+        ("sierpinski.site", "validate", _append("leq", lambda leq: leq[0][:1]), "'leq' must be an array of pairs"),
+        ("sierpinski.site", "validate", _set("leq", {"c": "o"}), "'leq' must be a JSON array"),
+        ("nine_node.zigzag", "validate", _append("arrows", lambda arrows: arrows[0]), "'arrows' holds 9 arrows for 8 gaps"),
+    ],
+)
+def test_cli_names_a_value_of_the_wrong_json_type(tmp_path, capsys, name, command, edit, named):
+    edited = _edited_corpus_file(tmp_path, name, edit)
+    assert main([command, edited]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert named in captured.err

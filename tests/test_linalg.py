@@ -149,6 +149,18 @@ def test_integer_rref_matches_generic_kernel():
         assert (fast, fast_pivots) == (slow, slow_pivots)
         assert Matrix(rows, cols, m).rref() == (Matrix._from_nonzero(rows, cols, slow), slow_pivots)
     assert all(seen.values()), seen
+    # sparse 0/+-1 rows at <= 10 % density, as in the sheaf complexes, up to 60 x 60
+    shapes = [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(60)] + [(60, 60), (60, 24), (24, 60), (45, 60)]
+    ranks = set()
+    for rows, cols in shapes:
+        density = rng.choice([0.02, 0.05, 0.1])
+        m = [[F(rng.choice([-1, 1])) if rng.random() < density else F(0) for _ in range(cols)] for _ in range(rows)]
+        fast, fast_pivots = _rref_integer(Matrix(rows, cols, m).nonzero_rows(), cols)
+        slow, slow_pivots = _rref_generic(m, cols)
+        assert (fast, fast_pivots) == (slow, slow_pivots)
+        assert Matrix(rows, cols, m).rref() == (Matrix._from_nonzero(rows, cols, slow), slow_pivots)
+        ranks.add((len(slow_pivots) == 0, len(slow_pivots) == min(rows, cols)))
+    assert ranks >= {(True, False), (False, True), (False, False)}, ranks
 
 
 def _assemble_reference(rows, cols, blocks):
@@ -191,6 +203,123 @@ def test_assemble_matches_entrywise_reference():
     for r0, c0, size in ((1, 1, 2), (2, 0, 1), (0, 2, 1), (-1, 0, 1), (0, -1, 1)):
         with pytest.raises(ValidationError):
             assemble(2, 2, [(r0, c0, Matrix.identity(size))])
+
+
+# Dense copies of the entrywise Matrix operations the nonzero view replaced;
+# the sparse paths must give identical matrices.
+
+
+def _dense_mul(a, b):
+    out = [[F(0)] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for k in range(a.cols):
+            x = a.entries[i][k]
+            if x == 0:
+                continue
+            for j in range(b.cols):
+                y = b.entries[k][j]
+                if y != 0:
+                    out[i][j] = out[i][j] + x * y
+    return Matrix(a.rows, b.cols, out)
+
+
+def _dense_add(a, b):
+    return Matrix(a.rows, a.cols, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.entries, b.entries)])
+
+
+def _dense_neg(a):
+    return Matrix(a.rows, a.cols, [[-x for x in r] for r in a.entries])
+
+
+def _dense_scale(a, s):
+    return Matrix(a.rows, a.cols, [[x * s for x in r] for r in a.entries])
+
+
+def _dense_assemble(rows, cols, blocks):
+    out = [[F(0)] * cols for _ in range(rows)]
+    for r0, c0, m in blocks:
+        for i, row in enumerate(m.entries, r0):
+            for j, x in enumerate(row, c0):
+                if x != 0:
+                    out[i][j] = x
+    return Matrix(rows, cols, out)
+
+
+def _dense_kron(a, b):
+    out = [[F(0)] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            x = a.entries[i][j]
+            if x == 0:
+                continue
+            for k in range(b.rows):
+                for l in range(b.cols):
+                    out[i * b.rows + k][j * b.cols + l] = x * b.entries[k][l]
+    return Matrix(a.rows * b.rows, a.cols * b.cols, out)
+
+
+def _dense_transpose(a):
+    return Matrix(a.cols, a.rows, [a.col_tuple(j) for j in range(a.cols)])
+
+
+def _dense_is_zero(a):
+    return all(x == 0 for r in a.entries for x in r)
+
+
+def _same(new, old):
+    """new equals old, and new's nonzero view lists exactly its nonzero entries."""
+    assert (new.rows, new.cols) == (old.rows, old.cols) and new == old
+    rebuilt = Matrix(new.rows, new.cols, new.entries).nonzero_rows()
+    assert [sorted(r, key=lambda p: p[0]) for r in new.nonzero_rows()] == rebuilt
+
+
+def test_sparse_matrix_ops_match_dense_reference():
+    rng = random.Random(112)
+    nf = NumberField([-2, 0, 1])
+    kinds = {
+        # a nonzero value and a zero of each kind; extension zeros test the truthiness zero test
+        "rational": (lambda: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2])), lambda: F(0)),
+        "extension": (lambda: nf.element([rng.randint(-2, 2), rng.choice([-1, 1])]), nf.zero),
+    }
+    seen = dict.fromkeys(["empty", "full", "zero_size", "cancel", "overlap", "extension"], False)
+
+    def rand(rows, cols, density, kind):
+        nonzero, zero = kinds[kind]
+        return Matrix(rows, cols, [[nonzero() if rng.random() < density else zero() for _ in range(cols)] for _ in range(rows)])
+
+    for kind in kinds:
+        for density in (0.0, 0.05, 0.1, 0.3, 0.6, 1.0):
+            for _ in range(25):
+                r, k, c = (rng.choice([0, 1, 2, 3, 5, 8]) for _ in range(3))
+                a, a2, b = rand(r, k, density, kind), rand(r, k, density, kind), rand(k, c, density, kind)
+                _same(a * b, _dense_mul(a, b))
+                _same(a + a2, _dense_add(a, a2))
+                _same(a + (-a), _dense_add(a, _dense_neg(a)))
+                _same(-a, _dense_neg(a))
+                s = rng.choice([kinds[kind][0](), 0, 2])
+                _same(a.scale(s), _dense_scale(a, s))
+                _same(kron(a, b), _dense_kron(a, b))
+                _same(a.transpose(), _dense_transpose(a))
+                assert a.is_zero() == _dense_is_zero(a) and (a + (-a)).is_zero()
+                blocks = [(rng.randint(0, 2), rng.randint(0, 2), m) for m in (a, a2, rand(2, 3, density, kind))]
+                rows = max(r0 + m.rows for r0, _, m in blocks)
+                cols = max(c0 + m.cols for _, c0, m in blocks)
+                _same(assemble(rows, cols, blocks), _dense_assemble(rows, cols, blocks))
+                summed = Matrix.zeros(rows, cols)
+                for block in blocks:
+                    summed = _dense_add(summed, _dense_assemble(rows, cols, [block]))
+                _same(assemble(rows, cols, blocks, add=True), summed)
+                seen["empty"] |= density == 0.0 and r * k > 0
+                seen["full"] |= density == 1.0 and r * k > 0
+                seen["zero_size"] |= 0 in (r, k, c)
+                seen["cancel"] |= any(
+                    not (a * b).entries[i][j] and any(a.entries[i][t] and b.entries[t][j] for t in range(k))
+                    for i in range(r)
+                    for j in range(c)
+                )
+                seen["overlap"] |= not _dense_is_zero(a) and not _dense_is_zero(a2)
+                seen["extension"] |= kind == "extension" and not _dense_is_zero(a)
+    assert all(seen.values()), seen
 
 
 def _random_vector(rng, n):
@@ -298,6 +427,8 @@ def test_kron_vec_compatibility():
 def test_no_floats_allowed():
     with pytest.raises(ValidationError):
         Matrix(1, 1, [[0.5]])
+    with pytest.raises(ValidationError):
+        Matrix.identity(2).scale(0.5)
 
 
 def test_extension_field_arithmetic():

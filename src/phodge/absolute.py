@@ -449,8 +449,7 @@ def _perfect_pairing_checks(x: GeometricDatum) -> None:
             off, _ = t.layout.offset(top, a)
             pure = assemble(t.complex.dim(top), hm.dim * hn.dim, [(off, 0, kron(hm.representatives, hn.representatives))])
             pairing = pi.get(top, Matrix.zeros(comp_n.dim(top), t.complex.dim(top)))
-            values = (tr * pairing * pure).entries[0]
-            g = Matrix(hm.dim, hn.dim, [values[s_ * hn.dim : (s_ + 1) * hn.dim] for s_ in range(hm.dim)])
+            g = (tr * pairing * pure).reshape(hm.dim, hn.dim)
             if g.rank != hm.dim:
                 raise PreconditionError(f"pairing degenerate on {label} cohomology in degree {a}")
 
@@ -705,13 +704,13 @@ def _pairing_hom(hom_node, a: int, pairing: Dict[int, Matrix], t, trunc: ChainMa
         if found is None or pi is None:
             continue
         boff, bsize = found
-        g = trunc.component(a + q) * Matrix(pi.rows, bsize, [row[boff : boff + bsize] for row in pi.entries])
+        g = trunc.component(a + q) * pi.block(0, boff, pi.rows, bsize)
         if pre is not None:
             g = g * kron(Matrix.identity(left), pre)
         if g.rows != r or g.cols != left * c:
             raise ValidationError("pairing hom element has the wrong shape")
-        packed = [[g.entries[i][k * c + j] for k in range(left)] for i in range(r) for j in range(c)]
-        blocks.append((off, 0, Matrix(r * c, left, packed)))
+        packed = assemble(r * c, left, [(0, k, g.block(0, k * c, r, c).reshape(r * c, 1)) for k in range(left)])
+        blocks.append((off, 0, packed))
     return assemble(hom_node.complex.dim(a), left, blocks)
 
 

@@ -28,13 +28,10 @@ conventions are fixed once here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .linalg import Matrix, Subspace, assemble, kron
-
-ZERO = Fraction(0)
 
 
 class Complex:
@@ -597,18 +594,13 @@ class TensorComplex:
 
     def pure_tensor(self, i: int, x: Sequence, j: int, y: Sequence) -> Tuple:
         """Coordinates of x (x) y placed in degree i + j."""
-        n = i + j
-        vec = [ZERO] * self.complex.dim(n)
-        found = self.layout.offset(n, i)
+        found = self.layout.offset(i + j, i)
         if found is None:
             raise ValidationError("tensor block absent")
-        off, size = found
-        kv = [xx * yy for xx in x for yy in y]
-        if len(kv) != size:
+        if len(x) * len(y) != found[1]:
             raise ValidationError("pure tensor size mismatch")
-        for t, v in enumerate(kv):
-            vec[off + t] = v
-        return tuple(vec)
+        block = kron(Matrix.column(x), Matrix.column(y))
+        return assemble(self.complex.dim(i + j), 1, [(found[0], 0, block)]).col_tuple(0)
 
 
 def tensor(a: Complex, b: Complex) -> TensorComplex:
@@ -679,26 +671,18 @@ class HomComplex:
         return self._slots.get(n, [])
 
     def pack(self, n: int, components: Dict[int, Matrix]) -> Tuple:
-        vec = [ZERO] * self.complex.dim(n)
+        blocks = []
         for q, r, c, off in self.slots(n):
             m = components.get(q)
             if m is None:
                 continue
             if m.rows != r or m.cols != c:
                 raise ValidationError("hom element component shape mismatch")
-            t = 0
-            for i in range(r):
-                for j in range(c):
-                    vec[off + t] = m.entries[i][j]
-                    t += 1
-        return tuple(vec)
+            blocks.append((off, 0, m.reshape(r * c, 1)))
+        return assemble(self.complex.dim(n), 1, blocks).col_tuple(0)
 
     def unpack(self, n: int, vec: Sequence) -> Dict[int, Matrix]:
-        out = {}
-        for q, r, c, off in self.slots(n):
-            rows = [[vec[off + i * c + j] for j in range(c)] for i in range(r)]
-            out[q] = Matrix(r, c, rows)
-        return out
+        return {q: Matrix.column(vec[off : off + r * c]).reshape(r, c) for q, r, c, off in self.slots(n)}
 
     def post_compose(self, g: ChainMap, other: "HomComplex") -> ChainMap:
         """Hom(a, b) -> Hom(a, b') induced by g: b -> b' (other = Hom(a, b'))."""

@@ -300,71 +300,52 @@ def cup_product(
     return e_t.join(a + b, w1, w0)
 
 
+def _pieces(layout, n: int, vec: Sequence, sizes) -> Tuple:
+    """The summands, of the given sizes, of a degree-n vector of a direct sum."""
+    return tuple(tuple(vec[layout.offset(i, n) : layout.offset(i, n) + k]) for i, k in enumerate(sizes))
+
+
 def _slice0(e: ExtComplex, n: int, vec: Sequence):
     """(rig part, k part, filtered part in ambient dR coordinates)."""
-    o_a, o_b, o_c = (e.layout0.offset(i, n) for i in range(3))
-    x0 = tuple(vec[o_a : o_a + e.second.rig.complex.dim(n)])
-    xk = tuple(vec[o_b : o_b + e.second.k.dim(n)])
-    csize = e.h_ff.complex.dim(n)
-    xc = tuple(vec[o_c : o_c + csize])
-    if csize:
-        xdr = e.h_ff.bases[n].basis.apply(xc)
-    else:
-        xdr = tuple([ZERO] * e.second.dr.carrier.dim(n))
+    x0, xk, xc = _pieces(e.layout0, n, vec, (e.second.rig.complex.dim(n), e.second.k.dim(n), e.h_ff.complex.dim(n)))
+    xdr = e.h_ff.bases[n].basis.apply(xc) if xc else tuple([ZERO] * e.second.dr.carrier.dim(n))
     return x0, xk, xdr
 
 
 def _slice1(e: ExtComplex, n: int, vec: Sequence):
-    o_d, o_e, o_f = (e.layout1.offset(i, n) for i in range(3))
-    z0 = tuple(vec[o_d : o_d + e.second.rig.complex.dim(n)])
-    zk = tuple(vec[o_e : o_e + e.second.k.dim(n)])
-    zf = tuple(vec[o_f : o_f + e.second.k.dim(n)])
-    return z0, zk, zf
+    k = e.second.k.dim(n)
+    return _pieces(e.layout1, n, vec, (e.second.rig.complex.dim(n), k, k))
+
+
+def _tensor_blocks(layout, n: int, a: int, b: int, parts) -> list:
+    """Each x (x) y of the (t, x, y) parts, in degree a + b of the tensor
+    complex t, as a column block at its summand's offset in degree n."""
+    return [
+        (layout.offset(i, n), 0, Matrix.column(t.pure_tensor(a, x, b, y)))
+        for i, (t, x, y) in enumerate(parts)
+        if x and y and t.complex.dim(n)
+    ]
 
 
 def _bullet(e_m, a, u0, e_m2, b, v0, e_t, t_rig, t_k, t_dr) -> Tuple:
     x0, xk, xdr = _slice0(e_m, a, u0)
     y0, yk, ydr = _slice0(e_m2, b, v0)
     n = a + b
-    out = [ZERO] * e_t.gamma0.dim(n)
-    o_a, o_b, o_c = (e_t.layout0.offset(i, n) for i in range(3))
-    if x0 and y0 and t_rig.complex.dim(n):
-        for pos, val in enumerate(t_rig.pure_tensor(a, x0, b, y0)):
-            out[o_a + pos] += val
-    if xk and yk and t_k.complex.dim(n):
-        for pos, val in enumerate(t_k.pure_tensor(a, xk, b, yk)):
-            out[o_b + pos] += val
-    if any(x != 0 for x in xdr) and any(y != 0 for y in ydr) and t_dr.complex.dim(n):
-        amb = t_dr.pure_tensor(a, xdr, b, ydr)
+    blocks = _tensor_blocks(e_t.layout0, n, a, b, [(t_rig, x0, y0), (t_k, xk, yk)])
+    if any(xdr) and any(ydr) and t_dr.complex.dim(n):
         space = e_t.h_ff.bases.get(n)
-        if space is None:
-            raise ValidationError("tensor of filtered elements escapes the compatible subcomplex")
-        coords = space.coords_of(amb)
+        coords = None if space is None else space.coords_of(t_dr.pure_tensor(a, xdr, b, ydr))
         if coords is None:
             raise ValidationError("tensor of filtered elements escapes the compatible subcomplex")
-        for pos, val in enumerate(coords):
-            out[o_c + pos] += val
-    return tuple(out)
+        blocks.append((e_t.layout0.offset(2, n), 0, Matrix.column(coords)))
+    return assemble(e_t.gamma0.dim(n), 1, blocks).col_tuple(0)
 
 
 def _boxtimes(e_m, a, z, e_m2, b, w, e_t, t_rig, t_k) -> Tuple:
     n = a + b
-    out = [ZERO] * e_t.gamma1.dim(n)
-    if not z or not w or e_t.gamma1.dim(n) == 0:
-        return tuple(out)
-    z0, zk, zf = _slice1(e_m, a, z)
-    w0, wk, wf = _slice1(e_m2, b, w)
-    o_d, o_e, o_f = (e_t.layout1.offset(i, n) for i in range(3))
-    if z0 and w0 and t_rig.complex.dim(n):
-        for pos, val in enumerate(t_rig.pure_tensor(a, z0, b, w0)):
-            out[o_d + pos] += val
-    if zk and wk and t_k.complex.dim(n):
-        for pos, val in enumerate(t_k.pure_tensor(a, zk, b, wk)):
-            out[o_e + pos] += val
-    if zf and wf and t_k.complex.dim(n):
-        for pos, val in enumerate(t_k.pure_tensor(a, zf, b, wf)):
-            out[o_f + pos] += val
-    return tuple(out)
+    dim = e_t.gamma1.dim(n)
+    parts = zip((t_rig, t_k, t_k), _slice1(e_m, a, z), _slice1(e_m2, b, w)) if z and w and dim else ()
+    return assemble(dim, 1, _tensor_blocks(e_t.layout1, n, a, b, parts)).col_tuple(0)
 
 
 def unit_class(e: ExtComplex) -> Tuple:
@@ -372,10 +353,6 @@ def unit_class(e: ExtComplex) -> Tuple:
     _require_unit_first(e)
     if not is_unit_like(e.second):
         raise PreconditionError("unit class lives in the cone of the unit pair")
-    vec = [ZERO] * e.total.dim(0)
-    o_a, o_b, o_c = (e.layout0.offset(i, 0) for i in range(3))
-    k1 = e.gamma1.dim(-1)
-    vec[k1 + o_a] = ONE
-    vec[k1 + o_b] = ONE
-    vec[k1 + o_c] = ONE
-    return tuple(vec)
+    # ones at the start of the rig, k and filtered summands of the gamma0 part
+    ones = {e.gamma1.dim(-1) + e.layout0.offset(i, 0) for i in range(3)}
+    return tuple(ONE if t in ones else ZERO for t in range(e.total.dim(0)))

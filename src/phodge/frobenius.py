@@ -20,7 +20,7 @@ from .linalg import Matrix
 def sigma_matrix(frame: CoefficientFrame, m: Matrix) -> Matrix:
     if frame.sigma_is_identity:
         return m
-    return Matrix(m.rows, m.cols, [[frame.sigma(x) for x in r] for r in m.entries])
+    return m.map_entries(frame.sigma)
 
 
 class FrobeniusComplex:

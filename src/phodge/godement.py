@@ -712,7 +712,7 @@ def base_change_map(fmap: SiteMap, h: Sheaf) -> SheafMap:
                     continue
                 s1, o1 = push_h.bases[q]
                 poff = o1[p][0]
-                blocks.append((off_x + ioff, outer_offs[q][0], Matrix(ik, s1.dim, s1.basis.entries[poff : poff + ik])))
+                blocks.append((off_x + ioff, outer_offs[q][0], s1.basis.block(poff, 0, ik, s1.dim)))
         coords = s2.coords_matrix(assemble(s2.ambient_dim, src.dim(y), blocks))
         if coords is None:
             raise ValidationError("base change image is not compatible")

@@ -135,11 +135,12 @@ def format_chain_map(frame, f: ChainMap):
 def parse_filtered(frame, data) -> FilteredComplex:
     carrier = parse_complex(frame, _required(data, "complex"))
     records = {}
-    for deg, levels in _optional(data, "filtration", {}).items():
+    filtration = _optional(data, "filtration", {})
+    for deg in filtration:
         n = _degree(deg, "filtration")
         entry = []
-        for level, basis in levels.items():
-            cols = len(basis[0]) if basis else 0
+        for level, basis in _required(filtration, deg, "filtration", dict).items():
+            cols = len(basis[0]) if isinstance(basis, list) and basis and isinstance(basis[0], list) else 0
             m = parse_matrix(frame, basis, carrier.dim(n), cols, f"filtration[{deg}][{level}]")
             entry.append((_degree(level, f"filtration[{deg}]"), Subspace(carrier.dim(n), m)))
         records[n] = entry
@@ -274,11 +275,20 @@ def parse_proper_map(data) -> ProperMapDatum:
     return ProperMapDatum(_required(data, "name"), source, target, pullback)
 
 
+def _names(values, key: str):
+    """values, each of which must be an element name; another value fails naming its index."""
+    for i, x in enumerate(values):
+        if not isinstance(x, str):
+            raise ValidationError(f"'{key}[{i}]' must be an element name string, not {type(x).__name__}")
+    return values
+
+
 def parse_site(data) -> FiniteSite:
     leq = _optional(data, "leq", [])
     if not all(isinstance(pair, list) and len(pair) == 2 for pair in leq):
         raise ValidationError("'leq' must be an array of pairs [a, b]")
-    return FiniteSite(_required(data, "elements", kind=list), [tuple(r) for r in leq], _optional(data, "points", []))
+    leq = [tuple(_names(pair, f"leq[{i}]")) for i, pair in enumerate(leq)]
+    return FiniteSite(_names(_required(data, "elements", kind=list), "elements"), leq, _names(_optional(data, "points", []), "points"))
 
 
 def format_site(site: FiniteSite):
@@ -363,7 +373,7 @@ KNOWN_KINDS = ("complex", "filtered", "frobenius", "phc", "datum", "proper_map",
 def load_object(path, site: Optional[FiniteSite] = None):
     """Load and validate one corpus object; the kind field dispatches."""
     data = json.loads(Path(path).read_text())
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else _required(data, "kind")
     if kind == "phc":
         return parse_phc(data)
     if kind == "datum":

@@ -5,13 +5,13 @@ surface); there is no floating point anywhere.  Pivoting is deterministic
 (first nonzero), and reduced row echelon form over a field is unique, so all
 derived bases are reproducible byte for byte.
 
-Besides its dense ``entries``, a ``Matrix`` has a nonzero view, built on
-first use and cached: ``nonzero_rows()`` lists each row's nonzero entries as
-(col, value) pairs.  Products, sums, negation, scaling, ``kron``,
-``transpose``, ``is_zero``, ``assemble`` and the row set-up of the RREF read
-only that view, so a mostly-zero matrix costs its nonzero count, not rows x
-cols.  A zero test is a truthiness test (``if x``), which Fractions and
-extension scalars both answer.
+A ``Matrix`` is stored as its nonzero view: ``nonzero_rows()`` lists each
+row's nonzero (col, value) pairs, in any column order.  Every result of
+arithmetic holds only that view, so a mostly-zero matrix costs its nonzero
+count, not rows x cols; the dense ``entries`` are derived on first read, for
+printing and the generic RREF, and equality and hashing read the view.  A
+zero test is a truthiness test (``if x``), which Fractions and extension
+scalars both answer.
 
 Two kernels produce the same RREF:
 
@@ -41,7 +41,9 @@ nonzero entries of each block at its offset, or adds them up.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import neg
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
@@ -134,9 +136,10 @@ def _exact_row(row) -> Tuple:
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries and a cached nonzero view."""
+    """Immutable exact matrix.  Results of arithmetic store only the nonzero
+    view and derive ``entries`` on first read; dense input keeps its rows."""
 
-    __slots__ = ("rows", "cols", "entries", "_rref", "_nz")
+    __slots__ = ("rows", "cols", "_dense", "_rref", "_nz")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(map(_exact_row, entries))
@@ -144,11 +147,11 @@ class Matrix:
             raise ValidationError(f"matrix shape mismatch: {rows}x{cols}")
         self._fill(rows, cols, entries, None)
 
-    def _fill(self, rows: int, cols: int, entries: Tuple, nz) -> None:
+    def _fill(self, rows: int, cols: int, dense: Optional[Tuple], nz) -> None:
         put = object.__setattr__
         put(self, "rows", rows)
         put(self, "cols", cols)
-        put(self, "entries", entries)
+        put(self, "_dense", dense)
         put(self, "_rref", None)
         put(self, "_nz", nz)
 
@@ -160,19 +163,26 @@ class Matrix:
         """The matrix whose rows hold the given nonzero (col, value) pairs.
         The values come from arithmetic on entries of checked matrices, so
         they are not checked again."""
-        dense = [[ZERO] * cols for _ in range(rows)]
-        for row, pairs in zip(dense, nz):
-            for j, x in pairs:
-                row[j] = x
         m = object.__new__(Matrix)
-        m._fill(rows, cols, tuple(map(tuple, dense)), nz)
+        m._fill(rows, cols, None, nz)
         return m
 
     def nonzero_rows(self):
         """Each row's nonzero entries as (col, value) pairs, built once."""
         if self._nz is None:
-            object.__setattr__(self, "_nz", [[(j, x) for j, x in enumerate(r) if x] for r in self.entries])
+            object.__setattr__(self, "_nz", [[(j, x) for j, x in enumerate(r) if x] for r in self._dense])
         return self._nz
+
+    @property
+    def entries(self) -> Tuple:
+        """The dense rows as tuples, derived from the nonzero view on first read."""
+        if self._dense is None:
+            dense = [[ZERO] * self.cols for _ in range(self.rows)]
+            for row, pairs in zip(dense, self._nz):
+                for j, x in pairs:
+                    row[j] = x
+            object.__setattr__(self, "_dense", tuple(map(tuple, dense)))
+        return self._dense
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
@@ -199,9 +209,8 @@ class Matrix:
 
     @staticmethod
     def diagonal(values) -> "Matrix":
-        values = list(values)
-        n = len(values)
-        return Matrix(n, n, [[values[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        values = _exact_row(values)
+        return Matrix._from_nonzero(len(values), len(values), [[(i, x)] if x else [] for i, x in enumerate(values)])
 
     @staticmethod
     def column(vec) -> "Matrix":
@@ -209,18 +218,15 @@ class Matrix:
         return Matrix(len(vec), 1, [[v] for v in vec])
 
     def col_tuple(self, j: int):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(next((x for k, x in r if k == j), ZERO) for r in self.nonzero_rows())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        if not isinstance(other, Matrix) or (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        return all(a == b or (len(a) == len(b) and dict(a) == dict(b)) for a, b in zip(self.nonzero_rows(), other.nonzero_rows()))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(map(frozenset, self.nonzero_rows()))))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -230,13 +236,18 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
+    def map_entries(self, f) -> "Matrix":
+        """The matrix of f(x) at every entry x; f is applied to the nonzero
+        entries only, so it must send zero to zero."""
+        nz = [[(j, v) for j, x in r if (v := f(x))] for r in self.nonzero_rows()]
+        return Matrix._from_nonzero(self.rows, self.cols, nz)
+
     def __neg__(self) -> "Matrix":
-        return Matrix._from_nonzero(self.rows, self.cols, [[(j, -x) for j, x in r] for r in self.nonzero_rows()])
+        return self.map_entries(neg)
 
     def scale(self, s) -> "Matrix":
         (s,) = _exact_row((s,))
-        nz = [[(j, v) for j, x in r if (v := x * s)] for r in self.nonzero_rows()]
-        return Matrix._from_nonzero(self.rows, self.cols, nz)
+        return self.map_entries(lambda x: x * s)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -257,7 +268,27 @@ class Matrix:
         vec = list(vec)
         if len(vec) != self.cols:
             raise ValidationError("vector length mismatch")
-        return tuple(sum((r[k] * vec[k] for k in range(self.cols)), ZERO) for r in self.entries)
+        return tuple(sum((x * vec[k] for k, x in r), ZERO) for r in self.nonzero_rows())
+
+    def block(self, r0: int, c0: int, rows: int, cols: int) -> "Matrix":
+        """The rows x cols submatrix at offset (r0, c0), as ``assemble`` would place it."""
+        if r0 < 0 or c0 < 0 or r0 + rows > self.rows or c0 + cols > self.cols:
+            raise ValidationError(f"{rows}x{cols} block at ({r0}, {c0}) does not fit in {self.rows}x{self.cols}")
+        nz = self.nonzero_rows()[r0 : r0 + rows]
+        if (c0, cols) != (0, self.cols):
+            nz = [[(j - c0, x) for j, x in r if c0 <= j < c0 + cols] for r in nz]
+        return Matrix._from_nonzero(rows, cols, nz)
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The rows x cols matrix with the same entries in row-major order."""
+        if rows * cols != self.rows * self.cols:
+            raise ValidationError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        out = [[] for _ in range(rows)]
+        for i, r in enumerate(self.nonzero_rows()):
+            for j, x in r:
+                a, b = divmod(i * self.cols + j, cols)
+                out[a].append((b, x))
+        return Matrix._from_nonzero(rows, cols, out)
 
     def transpose(self) -> "Matrix":
         columns = [[] for _ in range(self.cols)]
@@ -295,9 +326,6 @@ class Matrix:
 
     def solve(self, vec: Sequence) -> Optional[Tuple]:
         """One exact solution of self * x = vec, or None if vec is not in the image."""
-        vec = list(vec)
-        if len(vec) != self.rows:
-            raise ValidationError("solve: right-hand side length mismatch")
         x = self.solve_matrix(Matrix.column(vec))
         return None if x is None else x.col_tuple(0)
 
@@ -305,8 +333,6 @@ class Matrix:
         """X with self * X = other, or None; one elimination for all columns."""
         if other.rows != self.rows:
             raise ValidationError("solve_matrix: row mismatch")
-        if other.cols == 0:
-            return Matrix(self.cols, 0, [[] for _ in range(self.cols)])
         aug = hstack([self, other])
         red, pivots = aug.rref()
         if any(p >= self.cols for p in pivots):
@@ -333,7 +359,7 @@ class Matrix:
         traces = []
         for _ in range(n):
             power = power * self
-            traces.append(sum((power.entries[i][i] for i in range(n)), ZERO))
+            traces.append(sum((x for i, r in enumerate(power.nonzero_rows()) for j, x in r if j == i), ZERO))
         # Newton's identities
         e = [ONE]
         for k in range(1, n + 1):
@@ -404,18 +430,18 @@ def _poly_deflate(coeffs, root):
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     mats = list(mats)
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
+    if any(m.rows != mats[0].rows for m in mats):
         raise ValidationError("hstack row mismatch")
-    return Matrix(rows, sum(m.cols for m in mats), [sum((list(m.entries[i]) for m in mats), []) for i in range(rows)])
+    offsets = list(accumulate((m.cols for m in mats), initial=0))
+    return assemble(mats[0].rows, offsets[-1], [(0, c0, m) for c0, m in zip(offsets, mats)])
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
     mats = list(mats)
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
+    if any(m.cols != mats[0].cols for m in mats):
         raise ValidationError("vstack column mismatch")
-    return Matrix(sum(m.rows for m in mats), cols, [list(r) for m in mats for r in m.entries])
+    offsets = list(accumulate((m.rows for m in mats), initial=0))
+    return assemble(offsets[-1], mats[0].cols, [(r0, 0, m) for r0, m in zip(offsets, mats)])
 
 
 def assemble(rows: int, cols: int, blocks: Iterable[Tuple[int, int, Matrix]], *, add: bool = False) -> Matrix:
@@ -473,7 +499,7 @@ class Subspace:
                 raise ValidationError("canonical subspace basis has a column without a unit row")
         else:
             red, pivots = basis.transpose().rref()
-            basis = Matrix._from_nonzero(len(pivots), ambient_dim, red.nonzero_rows()[: len(pivots)]).transpose()
+            basis = red.block(0, 0, len(pivots), ambient_dim).transpose()
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_pivot_rows", pivots)
@@ -526,8 +552,8 @@ class Subspace:
         """
         if m.rows != self.ambient_dim:
             raise ValidationError("coords_matrix: row count mismatch")
-        ents = m.entries
-        x = Matrix(self.dim, m.cols, [ents[i] for i in self._pivot_rows])
+        nz = m.nonzero_rows()
+        x = Matrix._from_nonzero(self.dim, m.cols, [nz[i] for i in self._pivot_rows])
         return x if self.basis * x == m else None
 
     def contains(self, vec: Sequence) -> bool:
@@ -548,7 +574,7 @@ class Subspace:
             return Subspace.zero(self.ambient_dim)
         ker = hstack([self.basis, -other.basis]).kernel_basis()
         # the kernel's first dim rows are coordinates in self's basis
-        return Subspace(self.ambient_dim, self.basis * Matrix(self.dim, ker.cols, ker.entries[: self.dim]))
+        return Subspace(self.ambient_dim, self.basis * ker.block(0, 0, self.dim, ker.cols))
 
     def quotient(self) -> Tuple[Matrix, Matrix]:
         """(projection, section) for K^n -> K^n / self.

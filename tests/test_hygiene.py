@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package or a test module
 imports is used in it, every module-level private function or class is used
-somewhere, every import sits at module level, and every span target of the
-benchmark's layer trace still names a callable of the package."""
+somewhere, every import sits at module level, only linalg, io and cli read a
+Matrix's dense entries, and every span target of the benchmark's layer trace
+still names a callable of the package."""
 
 import ast
 import importlib
@@ -179,6 +180,45 @@ def test_orphan_checker_sees_self_references_and_other_modules():
 def test_no_orphaned_private_definitions_in_src():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert not orphaned_private_definitions(sources)
+
+
+# Only these modules read a Matrix's derived dense rows: linalg itself, io
+# to write matrices and cli to print them.  Every other module works on the
+# nonzero view through the linalg primitives.
+DENSE_READERS = {"linalg.py", "io.py", "cli.py"}
+# reads of attributes named entries that are not a Matrix's: spectral's
+# SpectralPage.entries is a dict of page entries
+NOT_MATRIX_ENTRIES = {("spectral.py", "self.entries"), ("spectral.py", "last.entries")}
+
+
+def entries_reads(source: str):
+    """(line, expression) of each read of an attribute named entries."""
+    return sorted(
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "entries"
+    )
+
+
+def test_entries_checker_sees_reads_at_any_depth():
+    source = (
+        "def f(m, page):\n"
+        "    x = m.basis.entries[0]\n"
+        "    y = page(entries={}).entries_count\n"
+        "    return [r for r in (m * m).entries], x, y\n"
+    )
+    assert entries_reads(source) == [(2, "m.basis.entries"), (4, "(m * m).entries")]
+
+
+def test_dense_entries_read_only_in_linalg_io_and_cli():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in DENSE_READERS:
+            continue
+        reads = [(line, expr) for line, expr in entries_reads(path.read_text()) if (path.name, expr) not in NOT_MATRIX_ENTRIES]
+        if reads:
+            found[path.name] = reads
+    assert not found, found
 
 
 def _load_layertrace():

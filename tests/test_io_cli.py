@@ -424,6 +424,9 @@ def _append(path, pick):
         ("sierpinski.site", "validate", _append("leq", lambda leq: leq[0][:1]), "'leq' must be an array of pairs"),
         ("sierpinski.site", "validate", _set("leq", {"c": "o"}), "'leq' must be a JSON array"),
         ("nine_node.zigzag", "validate", _append("arrows", lambda arrows: arrows[0]), "'arrows' holds 9 arrows for 8 gaps"),
+        ("sphere.site", "validate", _set("elements", [["a"], "b"]), "'elements[0]' must be an element name string, not list"),
+        ("sierpinski.site", "validate", _append("leq", lambda leq: [leq[0][0], {}]), "'leq[1][1]' must be an element name"),
+        ("strict.filtered", "validate", _set("filtration.0", 5), "'filtration.0' must be a JSON object, not int"),
     ],
 )
 def test_cli_names_a_value_of_the_wrong_json_type(tmp_path, capsys, name, command, edit, named):
@@ -432,3 +435,12 @@ def test_cli_names_a_value_of_the_wrong_json_type(tmp_path, capsys, name, comman
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert named in captured.err
+
+
+def test_cli_names_kind_when_the_file_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.site"
+    path.write_text("[]")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "must be a JSON object holding 'kind'" in captured.err

@@ -1,11 +1,22 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from phodge.errors import ValidationError
 from phodge.frames import CoefficientFrame, NumberField
-from phodge.linalg import Matrix, Subspace, _rref_generic, _rref_integer, assemble, kron, rank_decomposition
+from phodge.linalg import (
+    Matrix,
+    Subspace,
+    _rref_generic,
+    _rref_integer,
+    assemble,
+    hstack,
+    kron,
+    rank_decomposition,
+    vstack,
+)
 
 from helpers import rand_matrix, rand_scalar
 
@@ -320,6 +331,200 @@ def test_sparse_matrix_ops_match_dense_reference():
                 seen["overlap"] |= not _dense_is_zero(a) and not _dense_is_zero(a2)
                 seen["extension"] |= kind == "extension" and not _dense_is_zero(a)
     assert all(seen.values()), seen
+
+
+# Dense references for the results that derive their entries from the
+# nonzero view; each gives the dense rows the result must show.
+
+
+def _rows(m):
+    return [list(r) for r in m.entries]
+
+
+def _dense_t(rows, nrows, ncols):
+    return [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
+
+
+def _dense_rref(m):
+    """Gauss-Jordan on dense rows: the RREF rows and the pivot columns."""
+    rows = _rows(m)
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        p = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m.rows):
+            f = rows[i][c]
+            if i != r and f != 0:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _dense_kernel(m):
+    """Columns e_f - (RREF column f at the pivots), one per free column f."""
+    rows, pivots = _dense_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    out = [[F(0)] * len(free) for _ in range(m.cols)]
+    for t, f in enumerate(free):
+        out[f][t] = F(1)
+        for row, p in zip(rows, pivots):
+            out[p][t] = -row[f]
+    return out
+
+
+def _dense_solve(a, b):
+    """The rows of X with a X = b, read off the RREF of [a | b], or None."""
+    rows, pivots = _dense_rref(Matrix(a.rows, a.cols + b.cols, [ra + rb for ra, rb in zip(_rows(a), _rows(b))]))
+    if any(p >= a.cols for p in pivots):
+        return None
+    out = [[F(0)] * b.cols for _ in range(a.cols)]
+    for row, p in zip(rows, pivots):
+        out[p] = row[a.cols :]
+    return out
+
+
+def _dense_intersection(s1, s2):
+    """The canonical basis (transposed RREF) of the span of B1 K1, where
+    (K1; K2) spans the kernel of [B1 | -B2]."""
+    n, d1 = s1.ambient_dim, s1.dim
+    b1 = _rows(s1.basis)
+    stacked = [r1 + [-x for x in r2] for r1, r2 in zip(b1, _rows(s2.basis))]
+    ker = _dense_kernel(Matrix(n, d1 + s2.dim, stacked))
+    t = len(ker[0]) if ker else 0
+    span = [[sum((b1[i][k] * ker[k][c] for k in range(d1)), F(0)) for c in range(t)] for i in range(n)]
+    rows, pivots = _dense_rref(Matrix(t, n, _dense_t(span, n, t)))
+    return _dense_t(rows[: len(pivots)], len(pivots), n)
+
+
+def test_derived_entries_match_dense_references():
+    rng = random.Random(115)
+    nf = NumberField([-2, 0, 1])
+    kinds = {
+        "rational": (lambda: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2])), lambda: F(0)),
+        "extension": (lambda: nf.element([rng.randint(-2, 2), rng.choice([-1, 1])]), nf.zero),
+    }
+    seen = dict.fromkeys(["singular", "solvable", "unsolvable", "outside", "meet", "extension"], False)
+
+    def rand(rows, cols, density, kind):
+        nonzero, zero = kinds[kind]
+        return Matrix(rows, cols, [[nonzero() if rng.random() < density else zero() for _ in range(cols)] for _ in range(rows)])
+
+    def check(got, rows):
+        assert got.entries == tuple(map(tuple, rows)) and got.entries is got.entries
+
+    for kind in kinds:
+        for density in (0.0, 0.1, 0.3, 0.6, 1.0):
+            for _ in range(15):
+                r, k, c = (rng.choice([0, 1, 2, 3, 5]) for _ in range(3))
+                a, a2, b = rand(r, k, density, kind), rand(r, k, density, kind), rand(k, c, density, kind)
+                check(a * b, _rows(_dense_mul(a, b)))
+                check(a + a2, _rows(_dense_add(a, a2)))
+                check(a - a2, _rows(_dense_add(a, _dense_neg(a2))))
+                check(-a, _rows(_dense_neg(a)))
+                s = rng.choice([kinds[kind][0](), 0, 2])
+                check(a.scale(s), _rows(_dense_scale(a, s)))
+                check(a.transpose(), _dense_t(_rows(a), r, k))
+                check(kron(a, b), _rows(_dense_kron(a, b)))
+                blocks = [(rng.randint(0, 2), rng.randint(0, 2), m) for m in (a, a2, b)]
+                rows = max(r0 + m.rows for r0, _, m in blocks)
+                cols = max(c0 + m.cols for _, c0, m in blocks)
+                check(assemble(rows, cols, blocks), _rows(_dense_assemble(rows, cols, blocks)))
+                check(hstack([a, a2, a]), [r1 + r2 + r1 for r1, r2 in zip(_rows(a), _rows(a2))])
+                check(vstack([a, a2, a]), _rows(a) + _rows(a2) + _rows(a))
+                r0, c0 = rng.randint(0, r), rng.randint(0, k)
+                h, w = rng.randint(0, r - r0), rng.randint(0, k - c0)
+                check(a.block(r0, c0, h, w), [row[c0 : c0 + w] for row in _rows(a)[r0 : r0 + h]])
+                flat = [x for row in _rows(a) for x in row]
+                for shape in ((k, r), (1, r * k), (r * k, 1)):
+                    check(a.reshape(*shape), [flat[i * shape[1] : (i + 1) * shape[1]] for i in range(shape[0])])
+                # the product's derived entries feed the generic RREF of extension scalars
+                for m in (a, a * b):
+                    red, pivots = m.rref()
+                    ref_rows, ref_pivots = _dense_rref(m)
+                    check(red, ref_rows)
+                    assert list(pivots) == ref_pivots
+                    check(m.kernel_basis(), _dense_kernel(m))
+                    seen["singular"] |= len(pivots) < min(m.rows, m.cols)
+                rhs = rand(r, c, density, kind)
+                for target in (a * rand(k, c, density, kind), rhs):
+                    got, ref = a.solve_matrix(target), _dense_solve(a, target)
+                    assert (got is None) == (ref is None)
+                    if got is not None:
+                        check(got, ref)
+                    seen["unsolvable" if got is None else "solvable"] |= c > 0
+                vec = [kinds[kind][0]() for _ in range(k)]
+                assert a.apply(vec) == tuple(sum((x * v for x, v in zip(row, vec)), F(0)) for row in a.entries)
+                assert all(a.col_tuple(j) == tuple(row[j] for row in a.entries) for j in range(k))
+                s1, s2 = Subspace.from_matrix(a), Subspace.from_matrix(a2)
+                for target in (s1.basis * rand(s1.dim, c, density, kind), rhs):
+                    got, ref = s1.coords_matrix(target), _dense_solve(s1.basis, target)
+                    assert (got is None) == (ref is None)
+                    if got is not None:
+                        check(got, ref)
+                    seen["outside"] |= got is None
+                meet = s1.intersect(s2)
+                check(meet.basis, _dense_intersection(s1, s2))
+                seen["meet"] |= 0 < meet.dim < min(s1.dim, s2.dim)
+                seen["extension"] |= kind == "extension" and not a.is_zero()
+    assert all(seen.values()), seen
+
+
+def test_equal_matrices_from_different_routes_compare_and_hash_equal():
+    rng = random.Random(116)
+    out_of_order = 0
+    for _ in range(150):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        dense = [[rng.choice([F(0), F(0), F(1), F(-2), F(1, 3)]) for _ in range(c)] for _ in range(r)]
+        a = Matrix(r, c, dense)
+        perm = list(range(c))
+        rng.shuffle(perm)
+        p = Matrix(c, c, [[F(int(perm[i] == j)) for j in range(c)] for i in range(c)])
+        # a * p has column perm[k] of row i equal to a[i][k]; its pairs come in the order of k
+        permuted = Matrix(r, c, [[row[perm.index(j)] for j in range(c)] for row in dense])
+        routes = [
+            (a, Matrix.identity(r) * a),
+            (a, a * Matrix.identity(c)),
+            (a, a.transpose().transpose()),
+            (a, a.scale(3) - a.scale(2)),
+            (a, assemble(r, c, [(0, j, a.block(0, j, r, 1)) for j in reversed(range(c))])),
+            (a, Matrix._from_nonzero(r, c, [row[::-1] for row in a.nonzero_rows()])),
+            (permuted, a * p),
+            (a, (a * p) * p.transpose()),
+        ]
+        for expected, got in routes:
+            assert got == expected and expected == got and hash(got) == hash(expected)
+            assert got.entries == expected.entries
+            out_of_order += any([j for j, _ in row] != sorted(j for j, _ in row) for row in got.nonzero_rows())
+        assert a != Matrix.zeros(r, c + 1) and a != Matrix.zeros(r + 1, c) and a != dense
+        if r and c:
+            i, j = rng.randrange(r), rng.randrange(c)
+            bumped = a + assemble(r, c, [(i, j, Matrix.identity(1))])
+            assert bumped != a and a != bumped and bumped.entries != a.entries
+        if not a.is_zero():
+            assert a.scale(2) != a and -a != a and a != Matrix.zeros(r, c)
+    assert out_of_order > 50, out_of_order
+
+
+@pytest.mark.slow
+def test_large_sparse_matrix_never_allocates_dense_cells():
+    n = 200_000
+    tracemalloc.start()
+    try:
+        identity = Matrix.identity(n)
+        product = identity.transpose() * Matrix.identity(n)
+        nonzero = not product.is_zero()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nonzero and product == identity
+    # three n-row sparse matrices at most are alive at once; one dense copy
+    # would hold n * n = 4e10 cells
+    assert peak < 256 * 2**20, peak
 
 
 def _random_vector(rng, n):

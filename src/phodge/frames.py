@@ -276,15 +276,20 @@ class CoefficientFrame:
             if self.sigma_generator_image is not None:
                 raise ValidationError("sigma must be the identity without an extension")
         else:
-            img = self.sigma_image()
             # sigma is an automorphism iff the generator maps to a root
-            acc = self.extension.zero()
-            power = self.extension.one()
-            for c in self.extension.modulus:
-                acc = acc + power * c
-                power = power * img
-            if acc:
+            if self._at_sigma_image(self.extension.modulus):
                 raise ValidationError("sigma image is not a root of the modulus")
+
+    def _at_sigma_image(self, coeffs) -> ExtScalar:
+        """The polynomial with these coefficients, low degree first, evaluated
+        at the image of the generator."""
+        img = self.sigma_image()
+        acc = self.extension.zero()
+        power = self.extension.one()
+        for c in coeffs:
+            acc = acc + power * c
+            power = power * img
+        return acc
 
     def sigma_image(self) -> ExtScalar:
         assert self.extension is not None
@@ -319,14 +324,7 @@ class CoefficientFrame:
         """Apply the automorphism to one scalar."""
         if self.extension is None:
             return Fraction(value)
-        v = self.scalar(value)
-        img = self.sigma_image()
-        acc = self.extension.zero()
-        power = self.extension.one()
-        for c in v.coeffs:
-            acc = acc + power * c
-            power = power * img
-        return acc
+        return self._at_sigma_image(self.scalar(value).coeffs)
 
     def parse_scalar(self, data) -> object:
         if isinstance(data, str):

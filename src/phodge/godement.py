@@ -515,8 +515,8 @@ def sections_map(g: SheafMap, src: Subspace, src_offs, tgt: Subspace, tgt_offs) 
     return coords
 
 
-def _sections_complex(levels: List[Sheaf], diffs: Dict[int, SheafMap]) -> Complex:
-    secs = [sections(lv) for lv in levels]
+def _sections_complex(secs: List[Tuple[Subspace, Dict]], diffs: Dict[int, SheafMap]) -> Complex:
+    """The complex of global sections, from each level's ``sections``."""
     dims = {n: s[0].dim for n, s in enumerate(secs) if s[0].dim}
     d = {}
     for n, g in diffs.items():
@@ -583,7 +583,7 @@ def gd_cohomology(f: Sheaf, length: Optional[int] = None, max_degree: Optional[i
     if max_degree is None:
         max_degree = site.height
     bar = BarResolution(f, length)
-    c = _sections_complex(bar.levels, bar.differentials)
+    c = _sections_complex([sections(lv) for lv in bar.levels], bar.differentials)
     return {q: c.cohomology(q).dim for q in range(0, max_degree + 1)}
 
 
@@ -764,13 +764,12 @@ def gd_functorial(fmap: SiteMap, f_sheaf: Sheaf, a: SheafMap, length: Optional[i
     aug_right = pushes[0].of_map(bar_f.augmentation, pushes[1]).compose(a)
     ok_aug = _same_map(aug_left, aug_right)
     # induced map on degree-0 cohomology of the section complexes
-    src_complex = _sections_complex(bar_g.levels, bar_g.differentials)
-    tgt_levels = [p.sheaf for p in pushes[1:]]
-    tgt_diffs = {n: pushes[n + 1].of_map(bar_f.differentials[n], pushes[n + 2]) for n in range(length)}
-    tgt_complex = _sections_complex(tgt_levels, tgt_diffs)
-    comps = {}
     src_secs = [sections(lv) for lv in bar_g.levels]
-    tgt_secs = [sections(lv) for lv in tgt_levels]
+    tgt_secs = [sections(p.sheaf) for p in pushes[1:]]
+    src_complex = _sections_complex(src_secs, bar_g.differentials)
+    tgt_diffs = {n: pushes[n + 1].of_map(bar_f.differentials[n], pushes[n + 2]) for n in range(length)}
+    tgt_complex = _sections_complex(tgt_secs, tgt_diffs)
+    comps = {}
     for n in range(length + 1):
         if src_secs[n][0].dim or tgt_secs[n][0].dim:
             comps[n] = sections_map(kappas[n + 1], src_secs[n][0], src_secs[n][1], tgt_secs[n][0], tgt_secs[n][1])

@@ -304,7 +304,10 @@ def parse_sheaf(data, site: FiniteSite) -> Sheaf:
     if "constant" in data:
         return constant_sheaf(site, parse_dim(data["constant"], "constant"))
     if "indicator" in data:
-        return indicator_sheaf(site, data["indicator"], parse_dim(data.get("dim", 1), "dim"))
+        at = data["indicator"]
+        if not isinstance(at, str) or at not in site.elements:
+            raise ValidationError(f"'indicator' must name an element of the site, not {json.dumps(at)}")
+        return indicator_sheaf(site, at, parse_dim(data.get("dim", 1), "dim"))
     values = {k: parse_dim(v, f"values[{k}]") for k, v in _optional(data, "values", {}).items()}
     maps = {}
     for entry in _optional(data, "maps", []):

@@ -1,27 +1,21 @@
 """Exact linear algebra: matrices, subspaces, kernels, images, quotients.
 
 Every entry is a Fraction (or an extension scalar with the same operator
-surface); there is no floating point anywhere.  Pivoting is deterministic
-(first nonzero), and reduced row echelon form over a field is unique, so all
-derived bases are reproducible byte for byte.
+surface); there is no floating point anywhere.  Reduced row echelon form over
+a field is unique, so all derived bases are reproducible byte for byte.
 
 A ``Matrix`` is stored as its nonzero view: ``nonzero_rows()`` lists each
 row's nonzero (col, value) pairs, in any column order.  Every result of
 arithmetic holds only that view, so a mostly-zero matrix costs its nonzero
 count, not rows x cols; the dense ``entries`` are derived on first read, for
-printing and the generic RREF, and equality and hashing read the view.  A
-zero test is a truthiness test (``if x``), which Fractions and extension
-scalars both answer.
+printing, and equality and hashing read the view.  A zero test is a
+truthiness test (``if x``), which Fractions and extension scalars both answer.
 
-Two kernels produce the same RREF:
-
-- When every entry is a Fraction, ``Matrix.rref`` clears each row's
-  denominators and runs Gauss-Jordan on rows of Python ints, in the
-  fraction-free spirit of Bareiss (1968).  Each updated row is divided by its
-  gcd content to keep coefficients small, and the pivots are divided out only
-  once, at the end.
-- Any other entries (extension scalars) go through a generic loop on the
-  entries' own field arithmetic.
+One kernel, ``_rref_rows``, computes every RREF.  It inserts the nonzero
+rows one at a time into a set of reduced pivot rows, in the entries' own
+field arithmetic, so Fractions and extension scalars take the same path and
+only nonzero entries are touched.  Because the RREF is unique, the order in
+which rows become pivot rows is free; the result does not depend on it.
 
 A ``Subspace`` keeps, for each basis column k, a pivot row equal to e_k^T:
 the basis is either the transpose of an RREF with unit pivots, or a basis
@@ -42,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import lcm
 from operator import neg
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -52,77 +46,54 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _rref_integer(nonzero_rows, cols: int):
-    """RREF of Fraction rows, given by their nonzero (col, value) pairs, by
-    elimination on integer rows.
+def _rref_rows(nonzero_rows):
+    """RREF of rows given by their nonzero (col, value) pairs, by row
+    insertion in the entries' own field arithmetic.
 
-    Each row is scaled to a primitive integer row; Gauss-Jordan then keeps
-    every row integral and primitive, and the pivots are divided out at the
-    end.  Returns the nonzero (col, value) pairs of the RREF rows, with
-    Fraction values, and the pivots.
+    Each row in turn is reduced by the pivot rows found so far; a nonzero
+    remainder is scaled to 1 at its first column, and that column is cleared
+    from the earlier pivot rows.  The pivot rows then span the rows seen so
+    far and form their RREF.  Returns the nonzero (col, value) pairs of the
+    RREF rows, in column order, and the pivots.
     """
-    work = []
-    for r in nonzero_rows:
-        den = lcm(*[x.denominator for _, x in r])
-        row = [0] * cols
-        for j, x in r:
-            row[j] = x.numerator * (den // x.denominator)
-        g = gcd(*row)
-        work.append([x // g for x in row] if g > 1 else row)
-    m = len(work)
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        prow = work[r]
-        pv = prow[c]
-        for i in range(m):
-            row = work[i]
-            a = row[c]
-            if a and i != r:
-                g = gcd(pv, a)
-                s, t = pv // g, a // g
-                row = [s * x - t * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                work[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    out = []
-    for row, c in zip(work, pivots):
-        pv = row[c]
-        out.append([(j, Fraction(x, pv)) for j, x in enumerate(row) if x])
-    out.extend([] for _ in range(m - len(pivots)))
-    return out, tuple(pivots)
+    pivot_rows = {}
+    held = set()  # every column a pivot row has held; the others need no clearing
+    for pairs in nonzero_rows:
+        row = dict(pairs)
+        for c in [c for c in row if c in pivot_rows]:
+            _eliminate(row, c, pivot_rows[c])
+        if row:
+            c = min(row)
+            pv = row[c]
+            if pv != 1:
+                row = {j: x / pv for j, x in row.items()}
+            if c in held:
+                for prow in pivot_rows.values():
+                    if c in prow:
+                        _eliminate(prow, c, row)
+            pivot_rows[c] = row
+            held.update(row)
+    pivots = tuple(sorted(pivot_rows))
+    out = [sorted(pivot_rows[c].items()) for c in pivots]
+    out.extend([] for _ in range(len(nonzero_rows) - len(pivots)))
+    return out, pivots
 
 
-def _rref_generic(entries, cols: int):
-    """RREF by Gauss-Jordan in the entries' own arithmetic; any field scalars.
-    Returns the nonzero (col, value) pairs of the RREF rows and the pivots."""
-    work = [list(r) for r in entries]
-    m = len(work)
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if work[i][c]), None)
-        if pr is None:
+def _eliminate(row: dict, c: int, prow: dict) -> None:
+    """row -= row[c] * prow, for a pivot row prow that is 1 at column c: the
+    entry at c goes without arithmetic, and entries that cancel are dropped."""
+    f = row.pop(c)
+    for j, x in prow.items():
+        if j == c:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        prow = work[r] = [x / pv for x in work[r]]
-        for i in range(m):
-            f = work[i][c]
-            if i != r and f:
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
-        pivots.append(c)
-        r += 1
-    return [[(j, x) for j, x in enumerate(row) if x] for row in work], tuple(pivots)
+        if j in row:
+            v = row[j] - f * x
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        else:
+            row[j] = -f * x
 
 
 def _exact_row(row) -> Tuple:
@@ -303,11 +274,7 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form with the pivot column list."""
         if self._rref is None:
-            nz = self.nonzero_rows()
-            if all(type(x) is Fraction for r in nz for _, x in r):
-                rows, pivots = _rref_integer(nz, self.cols)
-            else:
-                rows, pivots = _rref_generic(self.entries, self.cols)
+            rows, pivots = _rref_rows(self.nonzero_rows())
             object.__setattr__(self, "_rref", (Matrix._from_nonzero(self.rows, self.cols, rows), pivots))
         return self._rref
 
@@ -318,7 +285,8 @@ class Matrix:
     def kernel_basis(self) -> "Matrix":
         """Columns form a canonical basis of the kernel."""
         red, pivots = self.rref()
-        free = {f: t for t, f in enumerate(c for c in range(self.cols) if c not in pivots)}
+        pivot_set = set(pivots)
+        free = {f: t for t, f in enumerate(c for c in range(self.cols) if c not in pivot_set)}
         out = [[(free[c], ONE)] if c in free else [] for c in range(self.cols)]
         for c, row in zip(pivots, red.nonzero_rows()):
             out[c] = [(free[j], -x) for j, x in row if j in free]

@@ -1,14 +1,17 @@
 """Source hygiene: every name a module of the package or a test module
 imports is used in it, every module-level private function or class is used
 somewhere, every import sits at module level, only linalg, io and cli read a
-Matrix's dense entries, and every span target of the benchmark's layer trace
-still names a callable of the package."""
+Matrix's dense entries, every span target of the benchmark's layer trace
+still names a callable of the package, and the RREF memo slot that trace
+reads still exists."""
 
 import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+from phodge.linalg import Matrix
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "phodge"
@@ -252,3 +255,14 @@ def test_layertrace_targets_resolve_to_callables():
             if not callable(found):
                 broken.append((group, modname, clsname, attr))
     assert not broken, broken
+
+
+def test_rref_memo_slot_read_by_layertrace_exists():
+    """layertrace counts RREF memo hits by reading Matrix._rref before each
+    call; a renamed slot would break traced runs, not this suite."""
+    assert "._rref is not None" in LAYERTRACE.read_text()
+    assert "_rref" in Matrix.__slots__
+    m = Matrix.from_rows([[1, 2], [2, 4]])
+    assert m._rref is None
+    result = m.rref()
+    assert m._rref is result and m.rref() is result

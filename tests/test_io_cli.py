@@ -444,3 +444,12 @@ def test_cli_names_kind_when_the_file_is_not_an_object(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "must be a JSON object holding 'kind'" in captured.err
+
+
+@pytest.mark.parametrize("indicator, shown", [(["a1"], '["a1"]'), ("nope", '"nope"'), (7, "7")])
+def test_cli_names_an_indicator_that_is_not_a_site_element(tmp_path, capsys, indicator, shown):
+    path = _edited_corpus_file(tmp_path, "skyscraperC.sheaf", _set("indicator", indicator))
+    assert main(["godement", "sphere.site", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"'indicator' must name an element of the site, not {shown}" in captured.err

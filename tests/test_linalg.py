@@ -9,8 +9,6 @@ from phodge.frames import CoefficientFrame, NumberField
 from phodge.linalg import (
     Matrix,
     Subspace,
-    _rref_generic,
-    _rref_integer,
     assemble,
     hstack,
     kron,
@@ -118,7 +116,7 @@ def test_quotient_with_section_random():
 
 
 def _kernel_case(rng, rows, cols, seen):
-    """A random Fraction matrix with the features the two RREF kernels must agree on."""
+    """A random Fraction matrix with the features the RREF must handle."""
     big = 10 ** 60
 
     def scalar():
@@ -148,30 +146,65 @@ def _kernel_case(rng, rows, cols, seen):
     return m
 
 
-def test_integer_rref_matches_generic_kernel():
+def _check_rref(m, ref_rows, ref_pivots):
+    """m.rref() shows the reference RREF and pivots and stores no zero in its nonzero view."""
+    red, pivots = m.rref()
+    assert red.entries == tuple(map(tuple, ref_rows)) and pivots == tuple(ref_pivots)
+    assert all(x for row in red.nonzero_rows() for _, x in row)
+    return pivots
+
+
+def _echelon_rows(rng, rank, cols, scalar):
+    """rank rows with increasing leading columns and nonzero entries from there on,
+    so each later leading column is nonzero in every earlier row."""
+    leads = sorted(rng.sample(range(cols), rank))
+    return [[scalar() if j >= c else scalar() * 0 for j in range(cols)] for c in leads]
+
+
+def test_rref_matches_dense_gauss_jordan():
     rng = random.Random(108)
     seen = dict.fromkeys(["zero_row", "zero_col", "repeated_row", "negative_pivot", "big"], False)
     shapes = [(0, n) for n in range(4)] + [(n, 0) for n in range(1, 4)]
     shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(300)]
     for rows, cols in shapes:
-        m = _kernel_case(rng, rows, cols, seen)
-        fast, fast_pivots = _rref_integer(Matrix(rows, cols, m).nonzero_rows(), cols)
-        slow, slow_pivots = _rref_generic(m, cols)
-        assert (fast, fast_pivots) == (slow, slow_pivots)
-        assert Matrix(rows, cols, m).rref() == (Matrix._from_nonzero(rows, cols, slow), slow_pivots)
+        m = Matrix(rows, cols, _kernel_case(rng, rows, cols, seen))
+        _check_rref(m, *_dense_rref(m))
     assert all(seen.values()), seen
     # sparse 0/+-1 rows at <= 10 % density, as in the sheaf complexes, up to 60 x 60
     shapes = [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(60)] + [(60, 60), (60, 24), (24, 60), (45, 60)]
     ranks = set()
     for rows, cols in shapes:
         density = rng.choice([0.02, 0.05, 0.1])
-        m = [[F(rng.choice([-1, 1])) if rng.random() < density else F(0) for _ in range(cols)] for _ in range(rows)]
-        fast, fast_pivots = _rref_integer(Matrix(rows, cols, m).nonzero_rows(), cols)
-        slow, slow_pivots = _rref_generic(m, cols)
-        assert (fast, fast_pivots) == (slow, slow_pivots)
-        assert Matrix(rows, cols, m).rref() == (Matrix._from_nonzero(rows, cols, slow), slow_pivots)
-        ranks.add((len(slow_pivots) == 0, len(slow_pivots) == min(rows, cols)))
+        m = Matrix(rows, cols, [[F(rng.choice([-1, 1])) if rng.random() < density else F(0) for _ in range(cols)] for _ in range(rows)])
+        pivots = _check_rref(m, *_dense_rref(m))
+        ranks.add((len(pivots) == 0, len(pivots) == min(rows, cols)))
     assert ranks >= {(True, False), (False, True), (False, False)}, ranks
+    # the rows in an order the elimination must not depend on: echelon rows as
+    # given (each later leading column is nonzero in the rows before it) and
+    # reversed, and with zero and duplicate rows interleaved; rational and
+    # extension scalars
+    nf = NumberField([-2, 0, 1])
+    scalars = {
+        "rational": lambda: F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 3])),
+        "extension": lambda: nf.element([rng.randint(-2, 2), rng.choice([-1, 1])]),
+    }
+    seen = dict.fromkeys(["echelon", "reversed", "zero_and_duplicate", "extension"], 0)
+    for kind, scalar in scalars.items():
+        zero = scalar() * 0
+        for _ in range(60):
+            cols = rng.randint(1, 8)
+            echelon = _echelon_rows(rng, rng.randint(1, cols), cols, scalar)
+            mixed = []
+            for row in echelon:
+                mixed += [row, [zero] * cols] if rng.random() < 0.5 else [row, [x * 2 for x in row]]
+                if rng.random() < 0.5:
+                    mixed.append(list(rng.choice(mixed)))
+            for order, dense in (("echelon", echelon), ("reversed", echelon[::-1]), ("zero_and_duplicate", mixed)):
+                m = Matrix(len(dense), cols, dense)
+                assert len(_check_rref(m, *_dense_rref(m))) == len(echelon)
+                seen[order] += len(echelon) > 1
+                seen["extension"] += kind == "extension"
+    assert all(seen.values()), seen
 
 
 def _assemble_reference(rows, cols, blocks):

@@ -21,6 +21,9 @@ A ``Subspace`` keeps, for each basis column k, a pivot row equal to e_k^T:
 the basis is either the transpose of an RREF with unit pivots, or a basis
 given with ``canonical=True`` that has such a unit row for every column (a
 transposed RREF, or a kernel basis with its unit rows at the free columns).
+Canonicalization is one ``Matrix.rref`` of the spanning columns taken as
+rows; its pivot rows, read as columns, are the basis, and its pivots the
+pivot rows.
 The coordinates of vectors are therefore their entries at the pivot rows,
 and one product with the basis checks membership.  ``coords_matrix`` is the
 one coordinate primitive: every map between subspaces is the image of the
@@ -106,25 +109,33 @@ def _exact_row(row) -> Tuple:
     return tuple(Fraction(x) if isinstance(x, int) else x for x in row)
 
 
+_MATRIX_SLOTS = ("rows", "cols", "_dense", "_rref", "_nz")
+
+
+class _MatrixDraft:
+    """A Matrix being built: the same slots without the immutability guard,
+    so ``Matrix._from_nonzero`` fills them with plain stores and then makes
+    the object a Matrix."""
+
+    __slots__ = _MATRIX_SLOTS
+
+
 class Matrix:
     """Immutable exact matrix.  Results of arithmetic store only the nonzero
     view and derive ``entries`` on first read; dense input keeps its rows."""
 
-    __slots__ = ("rows", "cols", "_dense", "_rref", "_nz")
+    __slots__ = _MATRIX_SLOTS
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(map(_exact_row, entries))
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValidationError(f"matrix shape mismatch: {rows}x{cols}")
-        self._fill(rows, cols, entries, None)
-
-    def _fill(self, rows: int, cols: int, dense: Optional[Tuple], nz) -> None:
         put = object.__setattr__
         put(self, "rows", rows)
         put(self, "cols", cols)
-        put(self, "_dense", dense)
+        put(self, "_dense", entries)
         put(self, "_rref", None)
-        put(self, "_nz", nz)
+        put(self, "_nz", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -134,8 +145,13 @@ class Matrix:
         """The matrix whose rows hold the given nonzero (col, value) pairs.
         The values come from arithmetic on entries of checked matrices, so
         they are not checked again."""
-        m = object.__new__(Matrix)
-        m._fill(rows, cols, None, nz)
+        m = object.__new__(_MatrixDraft)
+        m.rows = rows
+        m.cols = cols
+        m._dense = None
+        m._rref = None
+        m._nz = nz
+        m.__class__ = Matrix
         return m
 
     def nonzero_rows(self):
@@ -540,7 +556,7 @@ class Subspace:
             raise ValidationError("subspace intersection: ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        ker = hstack([self.basis, -other.basis]).kernel_basis()
+        ker = hstack([self.basis, other.basis]).kernel_basis()
         # the kernel's first dim rows are coordinates in self's basis
         return Subspace(self.ambient_dim, self.basis * ker.block(0, 0, self.dim, ker.cols))
 

@@ -8,10 +8,22 @@ so E_{r+1} is recomputed from the formulas and checked against the homology
 of (E_r, d_r) rather than assumed.
 
 Z(n, p, r) = F^p C^n ∩ d^{-1}(F^{p+r} C^{n+1}) is computed once per page run
-for each (n, clamped p, clamped p + r): F^p is the whole space for p at or
-below the lowest level and zero above the highest, so every p and p + r
-outside that window reads the same space as its clamped value.  Each page's
-Z(n, p+1, r-1) and Z(n-1, p-r+1, r-1) are then the previous page's Z spaces.
+for each (n, clamped p, clamped top = p + r): F^p is the whole space for p at
+or below the lowest level and zero above the highest, so every p and p + r
+outside that window reads the same space as its clamped value.  It is a
+restricted kernel, B_p · ker(π_top · d · B_p), with B_p the basis of F^p and
+π_top the quotient projection by F^top: one elimination and one canonical
+subspace.  For top <= p it is F^p itself, since d preserves the filtration.
+
+The denominator of an entry, Z_{r-1}(p+1) + d Z_{r-1}(p-r+1), lies inside
+Z_r(p): F^{p+1} ⊆ F^p under the same d^{-1}(F^top), and d Z_{r-1}(p-r+1) ⊆
+F^p ∩ ker d.  So it is one canonical span, with no intersection with Z_r(p).
+The quotient still checks that inclusion; on the first page the denominator
+holds F^{p+1} C^n and d F^p C^{n-1}, so a differential that leaves the
+filtration fails it and the run raises instead of returning pages.
+
+A page cell is memoized by its three clamped Z keys: pages past
+stabilization, and entries whose keys clamp alike, reuse its quotient.
 """
 
 from __future__ import annotations
@@ -23,7 +35,10 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import ChainMap, Complex, DoubleComplex, TotalLayout, total_complex
 from .errors import ValidationError
 from .filtered import FilteredComplex, Filtration
-from .linalg import Matrix, Subspace, assemble
+from .linalg import Matrix, Subspace, assemble, hstack
+
+
+ZKey = Tuple[int, int, int]  # (n, clamped p, clamped top) of a Z space
 
 
 @dataclass
@@ -57,13 +72,6 @@ def _column_filtration(total: Complex, layout: TotalLayout) -> Filtration:
     return Filtration(total.dims, records)
 
 
-def _preimage(d: Matrix, target: Subspace) -> Subspace:
-    """d^{-1}(target) as a subspace of the source."""
-    proj, _ = target.quotient()
-    comp = proj * d
-    return Subspace(d.cols, comp.kernel_basis())
-
-
 def _pages_generic(f: FilteredComplex, r_max: Optional[int] = None) -> List[SpectralPage]:
     total = f.carrier
     degrees = sorted(total.dims) if total.dims else []
@@ -72,14 +80,39 @@ def _pages_generic(f: FilteredComplex, r_max: Optional[int] = None) -> List[Spec
     width = (p_hi - p_lo) + 1
     if r_max is None:
         r_max = width + 1
-    z_spaces: Dict[Tuple[int, int, int], Subspace] = {}
+    z_spaces: Dict[ZKey, Subspace] = {}
+    cells: Dict[Tuple[ZKey, ZKey, ZKey], Tuple[Subspace, Matrix, Matrix]] = {}
 
-    def z_space(n: int, p: int, r: int) -> Subspace:
-        key = (n, max(p, p_lo), min(p + r, p_hi + 1))
+    def z_key(n: int, p: int, r: int) -> ZKey:
+        return (n, max(p, p_lo), min(p + r, p_hi + 1))
+
+    def z_space(key: ZKey) -> Subspace:
         if key not in z_spaces:
             n, p, top = key
-            z_spaces[key] = f.level(n, p).intersect(_preimage(total.diff(n), f.level(n + 1, top)))
+            level = f.level(n, p)
+            if top <= p:
+                z_spaces[key] = level
+            else:
+                proj, _ = f.level(n + 1, top).quotient()
+                ker = (proj * total.diff(n) * level.basis).kernel_basis()
+                z_spaces[key] = Subspace(level.ambient_dim, level.basis * ker)
         return z_spaces[key]
+
+    def cell(n: int, p: int, r: int) -> Tuple[Subspace, Matrix, Matrix]:
+        key = (z_key(n, p, r), z_key(n, p + 1, r - 1), z_key(n - 1, p - r + 1, r - 1))
+        if key not in cells:
+            z_k, inner_k, prev_k = key
+            z = z_space(z_k)
+            span = hstack([z_space(inner_k).basis, total.diff(n - 1) * z_space(prev_k).basis])
+            try:
+                proj, _, lift = z.quotient_by(Subspace(z.ambient_dim, span))
+            except ValidationError:
+                raise ValidationError(
+                    f"the differential does not preserve the filtration: page {r} entry {(p, n - p)} "
+                    "has boundaries outside its cycles"
+                ) from None
+            cells[key] = (z, proj, lift)
+        return cells[key]
 
     pages: List[SpectralPage] = []
     for r in range(1, r_max + 1):
@@ -89,12 +122,7 @@ def _pages_generic(f: FilteredComplex, r_max: Optional[int] = None) -> List[Spec
         for n in degrees:
             for p in range(p_lo, p_hi + 1):
                 q = n - p
-                z = z_space(n, p, r)
-                inner_z = z_space(n, p + 1, r - 1)
-                prev = z_space(n - 1, p - r + 1, r - 1)
-                boundary = inner_z.sum(Subspace(total.dim(n), total.diff(n - 1) * prev.basis))
-                denom = z.intersect(boundary)
-                proj, sect, lift = z.quotient_by(denom)
+                z, proj, lift = cell(n, p, r)
                 if proj.rows:
                     entries[(p, q)] = PageEntry(dim=proj.rows, representatives=lift)
                     quotients[(p, q)] = (z, proj, lift)

@@ -631,6 +631,16 @@ def test_coords_matrix_matches_solve_matrix():
         Subspace.full(2).coords_matrix(Matrix.zeros(3, 1))
 
 
+def test_results_of_arithmetic_are_immutable_matrices():
+    a = Matrix.from_rows([[1, 2], [0, 1]])
+    for m in (a, a * a, a + a, a.transpose(), a.rref()[0], a.kernel_basis(), Matrix.identity(2), Matrix.zeros(1, 2)):
+        assert type(m) is Matrix
+        for slot in Matrix.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(m, slot, None)
+    assert a * a == Matrix.from_rows([[1, 4], [0, 1]])
+
+
 def test_canonical_subspace_needs_a_unit_row_per_column():
     kernel = Matrix.from_rows([[1, 1, -1]]).kernel_basis()
     space = Subspace(3, kernel, canonical=True)
@@ -641,6 +651,96 @@ def test_canonical_subspace_needs_a_unit_row_per_column():
     for rows in ([[2], [3]], [[1, 1], [0, 1], [0, 0]], [[1, 0], [0, 2]], [[0], [0]]):
         with pytest.raises(ValidationError):
             Subspace(len(rows), Matrix.from_rows(rows), canonical=True)
+
+
+def _negated_intersect(a, b):
+    """Subspace.intersect as it was: the kernel of [B1 | -B2]."""
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.ambient_dim)
+    ker = hstack([a.basis, -b.basis]).kernel_basis()
+    return Subspace(a.ambient_dim, a.basis * ker.block(0, 0, a.dim, ker.cols))
+
+
+def _transposed_rref_basis(n, columns):
+    """The canonical basis by transpose, RREF, pivot-row block and transpose again."""
+    red, pivots = columns.transpose().rref()
+    return red.block(0, 0, len(pivots), n).transpose(), pivots
+
+
+def _spanning_columns(rng, n, k, scalar):
+    """k columns in K^n, some zero and some repeated or scaled copies of earlier ones."""
+    zero = scalar() * 0
+    cols = []
+    for _ in range(k):
+        roll = rng.random()
+        if roll < 0.15:
+            cols.append([zero] * n)
+        elif roll < 0.35 and cols:
+            cols.append([x * scalar() for x in rng.choice(cols)])
+        else:
+            cols.append([scalar() if rng.random() < 0.6 else zero for _ in range(n)])
+    return Matrix(n, k, [[c[i] for c in cols] for i in range(n)])
+
+
+def _scalar_kinds(rng):
+    nf = NumberField([-2, 0, 1])
+    return {
+        "rational": lambda: F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 3])),
+        "extension": lambda: nf.element([rng.randint(-2, 2), rng.choice([-1, 1])]),
+    }
+
+
+def test_intersect_matches_the_negated_route():
+    rng = random.Random(112)
+    seen = dict.fromkeys(["zero_dim", "equal", "proper", "extension"], 0)
+    for kind, scalar in _scalar_kinds(rng).items():
+        for _ in range(80):
+            n = rng.randint(0, 6)
+            a = Subspace(n, _spanning_columns(rng, n, rng.randint(0, n + 1), scalar))
+            if rng.random() < 0.25:
+                # the same space from another spanning set
+                b = Subspace(n, hstack([a.basis, a.basis.scale(scalar())]))
+            else:
+                b = Subspace(n, _spanning_columns(rng, n, rng.randint(0, n + 1), scalar))
+            for x, y in ((a, b), (b, a), (a, a)):
+                got, want = x.intersect(y), _negated_intersect(x, y)
+                assert got == want and got.basis == want.basis
+                assert got._pivot_rows == want._pivot_rows
+                seen["zero_dim"] += x.dim == 0 or y.dim == 0
+                seen["equal"] += x == y and x.dim > 0
+                seen["proper"] += 0 < got.dim < min(x.dim, y.dim)
+                seen["extension"] += kind == "extension"
+    assert all(seen.values()), seen
+
+
+def test_canonical_basis_from_columns_matches_the_transposed_rref():
+    rng = random.Random(113)
+    seen = dict.fromkeys(["n_zero", "zero_column", "dependent", "extension"], 0)
+    for kind, scalar in _scalar_kinds(rng).items():
+        for _ in range(120):
+            n = rng.randint(0, 6)
+            columns = _spanning_columns(rng, n, rng.randint(0, n + 2), scalar)
+            space = Subspace(n, columns)
+            basis, pivots = _transposed_rref_basis(n, columns)
+            assert space.basis == basis and space.basis.entries == basis.entries
+            assert (space.basis.rows, space.basis.cols) == (n, len(pivots))
+            assert space._pivot_rows == pivots
+            dense = [columns.col_tuple(j) for j in range(columns.cols)]
+            seen["n_zero"] += n == 0
+            seen["zero_column"] += any(not any(c) for c in dense)
+            seen["dependent"] += n > 0 and len(pivots) < columns.cols
+            seen["extension"] += kind == "extension"
+            # a basis given as canonical is kept as it is, with its first
+            # unit row per column as the pivot row
+            ker = columns.kernel_basis()
+            kept = Subspace(ker.rows, ker, canonical=True)
+            assert kept.basis is ker
+            unit_rows = {}
+            for i, row in enumerate(ker.nonzero_rows()):
+                if len(row) == 1 and row[0][1] == 1:
+                    unit_rows.setdefault(row[0][0], i)
+            assert kept._pivot_rows == tuple(unit_rows[k] for k in range(ker.cols))
+    assert all(seen.values()), seen
 
 
 def test_char_poly_and_eigenvalues():

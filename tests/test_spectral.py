@@ -4,7 +4,7 @@ import pytest
 
 from phodge.complexes import Complex
 from phodge.errors import ValidationError
-from phodge.filtered import is_strict_complex, graded
+from phodge.filtered import FilteredComplex, Filtration, is_strict_complex, graded
 from phodge.linalg import Matrix, Subspace
 from phodge.spectral import (
     DoubleComplex,
@@ -119,14 +119,21 @@ def _reference_z_space(f, n, p, r):
     return f.level(n, p).intersect(_reference_preimage(f.carrier.diff(n), f.level(n + 1, p + r)))
 
 
-def reference_pages(f):
+def _width(f):
+    levels = f.filtration.all_levels()
+    return levels[-1] - levels[0] + 1 if levels else 1
+
+
+def reference_pages(f, r_max=None):
     """The page run before Z spaces were shared: every Z(n, p, r) is computed
-    afresh where it is used, and no E_{r+1} = H(E_r, d_r) check is made."""
+    afresh where it is used as preimage ∩ level, the denominator is
+    z ∩ boundary, and no E_{r+1} = H(E_r, d_r) check is made.  Pages 1 to
+    r_max, by default to width + 1."""
     total = f.carrier
     levels = f.filtration.all_levels()
     p_lo, p_hi = (levels[0], levels[-1]) if levels else (0, 0)
     out = []
-    for r in range(1, p_hi - p_lo + 3):
+    for r in range(1, (_width(f) + 1 if r_max is None else r_max) + 1):
         entries, diffs, quotients = {}, {}, {}
         for n in sorted(total.dims):
             for p in range(p_lo, p_hi + 1):
@@ -163,3 +170,72 @@ def test_shared_z_spaces_match_the_unshared_page_run(corpus):
         late += any(not m.is_zero() for page in got[1:] for m in page.differentials.values())
     # some runs have a nonzero d_r with r >= 2, and not only the corpus one
     assert late >= 5
+
+
+def test_pages_past_stabilization_match_the_reference(corpus):
+    """Pages beyond width + 1 repeat the cells of earlier pages; the memoized
+    cells must still give the reference pages."""
+    rng = random.Random(85)
+    filtered = [column_filtered(corpus("d2page.dcomplex"), direction) for direction in ("col", "row")]
+    for i in range(8):
+        dc = rand_double_complex(rng, p_count=2 + i % 3, q_lo=0, q_hi=2, max_dim=2)
+        filtered += [column_filtered(dc, "col"), column_filtered(dc, "row")]
+    filtered += [rand_filtered_complex(rng, depth=1 + i % 3) for i in range(6)]
+    for fc in filtered:
+        r_max = _width(fc) + 3
+        got, want = filtration_pages(fc, r_max=r_max), reference_pages(fc, r_max)
+        assert len(got) == r_max and got == want
+        assert got[-1] == SpectralPage(r=r_max, entries=got[-3].entries, differentials=got[-3].differentials)
+
+
+def _leaving_filtrations():
+    """Filtered complexes built unchecked whose differential leaves F^1."""
+    one = Complex({0: 1, 1: 1}, {0: I1})
+    yield FilteredComplex(one, Filtration(one.dims, {0: [(1, Subspace.full(1))], 1: [(0, Subspace.full(1))]}), check=False)
+    two = Complex({0: 2, 1: 2}, {0: Matrix.identity(2)})
+    e1, e2 = Subspace.from_vectors([(1, 0)], 2), Subspace.from_vectors([(0, 1)], 2)
+    records = {0: [(0, Subspace.full(2)), (1, e1)], 1: [(0, Subspace.full(2)), (1, e2)]}
+    yield FilteredComplex(two, Filtration(two.dims, records), check=False)
+
+
+def test_a_differential_leaving_the_filtration_gives_no_pages():
+    for fc in _leaving_filtrations():
+        with pytest.raises(ValidationError, match="does not preserve filtration"):
+            FilteredComplex(fc.carrier, fc.filtration)
+        with pytest.raises(ValidationError, match="does not preserve the filtration"):
+            filtration_pages(fc)
+        with pytest.raises(ValidationError, match="does not preserve the filtration"):
+            degenerates_at_e1(fc)
+
+
+def _counted_page_runs(corpus, monkeypatch):
+    """Matrix.rref and Subspace.intersect calls made by each page run."""
+    counts = {"rref": 0, "intersect": 0}
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "rref", counting("rref", Matrix.rref))
+    monkeypatch.setattr(Subspace, "intersect", counting("intersect", Subspace.intersect))
+    runs = {}
+    inputs = {direction: column_filtered(corpus("d2page.dcomplex"), direction) for direction in ("col", "row")}
+    inputs["filtered"] = rand_filtered_complex(random.Random(96), depth=3)
+    for name, fc in inputs.items():
+        counts.update(rref=0, intersect=0)
+        filtration_pages(fc)
+        runs[name] = dict(counts)
+    return runs
+
+
+def test_page_runs_make_one_elimination_per_z_space_and_cell(corpus, monkeypatch):
+    """Exact call counts, so a change that brings back per-page intersections
+    or repeated eliminations fails here without any timing."""
+    assert _counted_page_runs(corpus, monkeypatch) == {
+        "col": {"rref": 67, "intersect": 0},
+        "row": {"rref": 30, "intersect": 0},
+        "filtered": {"rref": 167, "intersect": 0},
+    }
